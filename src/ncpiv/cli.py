@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -210,7 +210,7 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
             out["det_contour"] = fredholm.contour_det(family, config.n, s, circle=circle, line=line)
             out["R"] = fredholm.log_deriv(family, config.n, s, order=1, system=system)
             out["Rp"] = fredholm.log_deriv(family, config.n, s, order=2, system=system)
-            out["Rpp"] = fredholm.second_log_deriv(family, config.n, s)
+            out["Rpp"] = fredholm.log_deriv(family, config.n, s, order=3, system=system)
             if fam.kind == "scalar":
                 out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, s)
             else:
@@ -344,22 +344,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        family=args.family,
-        nu=args.nu,
-        n=args.n,
-        s_min=args.s_min,
-        s_max=args.s_max,
-        s_steps=args.s_steps,
-        quad_points=args.quad_points,
-        radius=args.radius,
-        line_re=args.line_re,
-        line_trunc=args.line_trunc,
-        step=args.step,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv: list[str] | None = None) -> int:

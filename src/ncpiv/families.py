@@ -32,6 +32,7 @@ __all__ = [
     "phi",
     "phi_all",
     "phi_deriv",
+    "phi_deriv2_all",
     "ode_residual",
     "family_constants",
 ]
@@ -122,6 +123,23 @@ def _tfactor_deriv(fam: WeightFamily, x) -> np.ndarray:
     )
 
 
+def _tfactor_deriv2(fam: WeightFamily, x) -> np.ndarray:
+    """d^2/dx^2 of T(x)."""
+    x = np.asarray(x, dtype=float)
+    if fam.kind == "scalar":
+        return np.zeros(x.shape + (1, 1))
+    shift = fam.shift
+    if fam.kind == "a":
+        # T'' = A^2 T
+        return np.einsum("ab,...bc->...ac", shift @ shift, tfactor(fam, x))
+    # kind b: T'' = 2 B T + 4 x^2 B^2 T
+    t = tfactor(fam, x)
+    x2 = (x * x)[..., None, None]
+    return 2.0 * np.einsum("ab,...bc->...ac", shift, t) + 4.0 * x2 * np.einsum(
+        "ab,...bc->...ac", shift @ shift, t
+    )
+
+
 def weight_eval(fam: WeightFamily, x) -> np.ndarray:
     """The weight matrix e^{-x^2} T(x) T(x)^T (symmetric positive definite)."""
     x = np.asarray(x, dtype=float)
@@ -194,9 +212,10 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
 
     Raises ValueError("insufficient quadrature") if a step of the
     procedure leaves a norm matrix that is numerically singular on the
-    rule (the rule has too few nodes for that degree; the message names
-    the degree and the node count), or if the resulting monic family
-    fails orthogonality at the 1e-6 level.
+    rule, if the rule is not exact for the top-degree norm (fewer than
+    nmax + 1 + deg(W)/2 nodes; both messages name the degree and the
+    node count), or if the resulting monic family fails orthogonality
+    at the 1e-6 level.
     """
     if quad is None:
         quad = gauss_hermite(max(200, 3 * nmax))
@@ -251,6 +270,15 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
             for j, c in enumerate(coeffs[k - 1]):
                 cnew[j] = cnew[j] - beta @ c
         coeffs.append(cnew)
+
+    # the top norm <Phat_nmax, Phat_nmax>_W integrates a polynomial of
+    # degree 2 nmax + deg W, exact on m Gauss nodes only up to 2m - 1
+    deg_w = 0 if fam.kind == "scalar" else 2 * (n - 1) * (1 if fam.kind == "a" else 2)
+    if m < nmax + 1 + deg_w // 2:
+        raise ValueError(
+            f"insufficient quadrature: the degree-{nmax} norm needs at least "
+            f"{nmax + 1 + deg_w // 2} nodes, the rule has {m}"
+        )
 
     # orthogonality diagnostic on the monic family
     stack = np.stack(vals)  # (nmax+1, m, n, n)
@@ -358,6 +386,29 @@ def phi_deriv(family: MOPFamily, n: int, x) -> np.ndarray:
         + np.einsum("...ab,...bc->...ac", p[n], dt)
     )
     return env * np.einsum("ab,...bc->...ac", lead, inner)
+
+
+def phi_deriv2_all(family: MOPFamily, x, upto: int) -> np.ndarray:
+    """Analytic second x-derivatives of Phi_0..Phi_{upto-1} at x:
+    (upto, ..., N, N).  With Phi = e^{-x^2/2} L P T this is
+    e^{-x^2/2} L ((x^2 - 1) P T - 2x (P T)' + (P T)'')."""
+    if upto > family.nmax + 1:
+        raise ValueError("degree out of range")
+    x = np.asarray(x, dtype=float)
+    p, dp, ddp = _monic_values(family, x, upto, derivs=2)
+    t = tfactor(family.weight, x)
+    dt = _tfactor_deriv(family.weight, x)
+    ddt = _tfactor_deriv2(family.weight, x)
+    xm = x[..., None, None]
+    env = np.exp(-0.5 * x * x)[..., None, None]
+    out = []
+    for k in range(upto):
+        q = p[k] @ t
+        dq = dp[k] @ t + p[k] @ dt
+        ddq = ddp[k] @ t + 2.0 * (dp[k] @ dt) + p[k] @ ddt
+        lead = family.inv_sqrt_norms[k] @ family.normalizers[k]
+        out.append(env * (lead @ ((xm * xm - 1.0) * q - 2.0 * xm * dq + ddq)))
+    return np.stack(out)
 
 
 def _ode_coefficients(fam: WeightFamily, n: int):

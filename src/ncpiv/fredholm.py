@@ -11,7 +11,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .families import MOPFamily, phi_all, phi_deriv
+from .families import MOPFamily, phi_all, phi_deriv, phi_deriv2_all
 from .kernels import _ratio_power, contour_factors
 from scipy.linalg import solve_triangular
 
@@ -28,6 +28,7 @@ from .quadrature import (
 __all__ = [
     "GramSystem",
     "build_gram",
+    "upper_tail_gram",
     "gram_det",
     "log_deriv",
     "sigma_piv_residual",
@@ -42,28 +43,58 @@ _FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Finite-rank data at a cut point s: Gram matrix G with blocks
-    int_s^inf Phi_j Phi_k^T, its s-derivative -B with blocks
-    Phi_j(s) Phi_k^T(s), and the derivative blocks B' for R'(s).
+    """Finite-rank data at a cut point s.  C is an upper-triangular
+    square root (H = C^T C) of the lower-tail Gram H with blocks
+    int_{-inf}^s Phi_j Phi_k^T, from a QR factorization of the weighted
+    sample matrix; B = H' has blocks Phi_j(s) Phi_k^T(s), and Bp, Bpp
+    are its first and second s-derivatives.
 
-    H is the complementary lower-tail Gram int_{-inf}^s Phi_j Phi_k^T,
-    computed directly by panels rather than as I - G: for strongly
-    negative s the entries of I - G are tiny and would be known only to
-    absolute (not relative) precision, which ruins the resolvent.  C is
-    an upper-triangular square root of H (H = C^T C) from a QR
-    factorization of the weighted sample matrix; working through C
-    halves the effective condition number of every resolvent solve."""
+    H is computed directly by panels rather than as I - G from the
+    upper-tail Gram G: for strongly negative s the entries of I - G are
+    tiny and would be known only to absolute (not relative) precision,
+    which ruins the resolvent.  Working through C halves the effective
+    condition number of every resolvent solve."""
 
     s: float
     n: int
-    G: np.ndarray
     B: np.ndarray
     Bp: np.ndarray
-    H: np.ndarray
+    Bpp: np.ndarray
     C: np.ndarray
 
 
-def build_gram(family: MOPFamily, n: int, s: float, full_rule: QuadRule | None = None) -> GramSystem:
+def build_gram(family: MOPFamily, n: int, s: float) -> GramSystem:
+    if n > family.nmax:
+        raise ValueError("degree out of range")
+    dim = family.dim
+
+    # lower-tail Gram through its rectangular square root: rows indexed
+    # by (panel node, matrix column), so H = F^T F exactly
+    rule = lower_tail_rule(s)
+    p = phi_all(family, rule.nodes, n)  # (n, m, N, N)
+    f = (p * np.sqrt(rule.weights)[None, :, None, None]).transpose(1, 3, 0, 2)
+    f = f.reshape(rule.nodes.size * dim, n * dim)
+    c = np.linalg.qr(f, mode="r")
+
+    ps = phi_all(family, np.asarray(float(s)), n)  # (n, N, N)
+    dps = np.stack([phi_deriv(family, k, np.asarray(float(s))) for k in range(n)])
+    ddps = phi_deriv2_all(family, np.asarray(float(s)), n)
+    b = np.einsum("jab,kcb->jakc", ps, ps).reshape(n * dim, n * dim)
+    bp = (
+        np.einsum("jab,kcb->jakc", dps, ps) + np.einsum("jab,kcb->jakc", ps, dps)
+    ).reshape(n * dim, n * dim)
+    bpp = (
+        np.einsum("jab,kcb->jakc", ddps, ps)
+        + 2.0 * np.einsum("jab,kcb->jakc", dps, dps)
+        + np.einsum("jab,kcb->jakc", ps, ddps)
+    ).reshape(n * dim, n * dim)
+    return GramSystem(s=s, n=n, B=b, Bp=bp, Bpp=bpp, C=c)
+
+
+def upper_tail_gram(family: MOPFamily, n: int, s: float, full_rule: QuadRule | None = None) -> np.ndarray:
+    """Upper-tail Gram G(s) with blocks int_s^inf Phi_j Phi_k^T, as an
+    (nN, nN) matrix: the whole-line Gram (Gauss-Hermite) minus the
+    lower tail.  Not used by the determinant or the log-derivatives."""
     if n > family.nmax:
         raise ValueError("degree out of range")
     dim = family.dim
@@ -75,24 +106,7 @@ def build_gram(family: MOPFamily, n: int, s: float, full_rule: QuadRule | None =
     if full_rule is None:
         full_rule = gauss_hermite(max(200, 3 * (n + 1)))
     g = tail_integral(integrand, s, full_rule=full_rule)  # (n, N, n, N)
-    g = g.reshape(n * dim, n * dim)
-
-    # lower-tail Gram through its rectangular square root: rows indexed
-    # by (panel node, matrix column), so H = F^T F exactly
-    rule = lower_tail_rule(s)
-    p = phi_all(family, rule.nodes, n)  # (n, m, N, N)
-    f = (p * np.sqrt(rule.weights)[None, :, None, None]).transpose(1, 3, 0, 2)
-    f = f.reshape(rule.nodes.size * dim, n * dim)
-    c = np.linalg.qr(f, mode="r")
-    h = c.T @ c
-
-    ps = phi_all(family, np.asarray(float(s)), n)  # (n, N, N)
-    dps = np.stack([phi_deriv(family, k, np.asarray(float(s))) for k in range(n)])
-    b = np.einsum("jab,kcb->jakc", ps, ps).reshape(n * dim, n * dim)
-    bp = (
-        np.einsum("jab,kcb->jakc", dps, ps) + np.einsum("jab,kcb->jakc", ps, dps)
-    ).reshape(n * dim, n * dim)
-    return GramSystem(s=s, n=n, G=g, B=b, Bp=bp, H=h, C=c)
+    return g.reshape(n * dim, n * dim)
 
 
 def gram_det(family: MOPFamily, n: int, s: float, system: GramSystem | None = None) -> float:
@@ -126,10 +140,11 @@ def _whiten(system: GramSystem, mat: np.ndarray) -> np.ndarray:
 def log_deriv(
     family: MOPFamily, n: int, s: float, order: int = 1, system: GramSystem | None = None
 ) -> float:
-    """log det (order 0), R(s) = d/ds log det (order 1), or R'(s)
-    (order 2), all from the resolvent of the Gram system."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    """log det (order 0), R(s) = d/ds log det (order 1), R'(s)
+    (order 2) or R''(s) (order 3), all from the resolvent of the Gram
+    system."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError("order must be 0, 1, 2 or 3")
     if system is None:
         system = build_gram(family, n, s)
     logabs = _log_det(system)
@@ -140,13 +155,22 @@ def log_deriv(
     cb = _whiten(system, system.B)
     if order == 1:
         return float(np.trace(cb))
-    # d/ds tr(H^{-1} B) = -tr((H^{-1}B)^2) + tr(H^{-1}B'), and
-    # tr((H^{-1}B)^2) = ||C^{-T} B C^{-1}||_F^2 by symmetry of B
-    return float(-np.sum(cb * cb.T) + np.trace(_whiten(system, system.Bp)))
+    if order == 2:
+        # d/ds tr(H^{-1} B) = -tr((H^{-1}B)^2) + tr(H^{-1}B'), and
+        # tr((H^{-1}B)^2) = ||C^{-T} B C^{-1}||_F^2 by symmetry of B
+        return float(-np.sum(cb * cb.T) + np.trace(_whiten(system, system.Bp)))
+    # with M = H^{-1}B, N = H^{-1}B' and M' = N - M^2:
+    # R'' = 2 tr(M^3) - 3 tr(M N) + tr(H^{-1}B''), each trace taken on
+    # the whitened C^{-T} X C^{-1}, which is similar to H^{-1} X
+    cn = _whiten(system, system.Bp)
+    return float(
+        2.0 * np.sum((cb @ cb) * cb.T) - 3.0 * np.sum(cb * cn.T) + np.trace(_whiten(system, system.Bpp))
+    )
 
 
 def second_log_deriv(family: MOPFamily, n: int, s: float, step: float = _FD_STEP) -> float:
-    """R''(s) by one central difference of the analytic R'(s)."""
+    """R''(s) by one central difference of the analytic R'(s); an
+    independent check of log_deriv(..., order=3)."""
     hi = log_deriv(family, n, s + step, order=2)
     lo = log_deriv(family, n, s - step, order=2)
     return (hi - lo) / (2.0 * step)

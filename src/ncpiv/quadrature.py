@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,8 +107,17 @@ def integrate(rule: QuadRule, f) -> np.ndarray | complex:
     return np.tensordot(rule.weights, np.asarray(vals), axes=(0, 0))
 
 
-def _legendre_panel(a: float, b: float):
+@lru_cache(maxsize=None)
+def _reference_panel() -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [-1, 1], computed once; read-only."""
     x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _legendre_panel(a: float, b: float):
+    x, w = _reference_panel()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -130,6 +130,46 @@ def test_fredholm_scan_routes_agree(tmp_path):
     assert worst <= 1e-5
 
 
+def test_fredholm_scan_builds_one_gram_system_per_row(tmp_path, monkeypatch):
+    from ncpiv import fredholm, quadrature
+
+    calls = {"build_gram": 0, "second_log_deriv": 0, "tail_integral": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fredholm, "build_gram")
+    counted(fredholm, "second_log_deriv")
+    counted(fredholm, "tail_integral")
+    counted(quadrature, "tail_integral")
+    steps = 4
+    code = main(
+        [
+            "fredholm-scan",
+            "--family",
+            "b",
+            "--n",
+            "2",
+            "--s-min",
+            "-1",
+            "--s-max",
+            "1",
+            "--s-steps",
+            str(steps),
+            "--out",
+            str(tmp_path / "scan.csv"),
+        ]
+    )
+    assert code == EXIT_OK
+    assert calls == {"build_gram": steps, "second_log_deriv": 0, "tail_integral": 0}
+
+
 def test_painleve_fixed_point(tmp_path):
     init = tmp_path / "init.json"
     init.write_text(

@@ -15,6 +15,7 @@ from ncpiv.families import (
     phi,
     phi_all,
     phi_deriv,
+    phi_deriv2_all,
     weight_eval,
 )
 from ncpiv.quadrature import compensated_weights, gauss_hermite
@@ -112,6 +113,16 @@ def test_singular_norm_matrix_is_insufficient_quadrature(kind, m, nmax):
         build_family(WeightFamily(kind=kind, nu=1.0), nmax=nmax, quad=gauss_hermite(m))
 
 
+@pytest.mark.parametrize("kind, m, nmax", [("a", 4, 3), ("b", 6, 4)])
+def test_rule_too_small_for_top_norm_is_insufficient_quadrature(kind, m, nmax):
+    # every Stieltjes step stays regular here, but the rule is not exact
+    # for the degree-nmax norm: it came out 66% (a) and 55% (b) off
+    with pytest.raises(
+        ValueError, match=rf"insufficient quadrature: .*degree-{nmax}\b.* has {m}$"
+    ):
+        build_family(WeightFamily(kind=kind, nu=1.0), nmax=nmax, quad=gauss_hermite(m))
+
+
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_singularity_check_passes_sound_builds(kind):
     # nu=10, nmax=64 gave the smallest pencil eigenvalue of the sound builds measured
@@ -138,6 +149,17 @@ def test_phi_deriv_matches_finite_differences(fam_a):
         for x in (-0.8, 0.6):
             fd = (phi(fam_a, n, np.asarray(x + h)) - phi(fam_a, n, np.asarray(x - h))) / (2 * h)
             an = phi_deriv(fam_a, n, np.asarray(x))
+            assert np.max(np.abs(fd - an)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "scalar"])
+def test_phi_deriv2_matches_finite_differences(kind):
+    family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=6)
+    h = 1e-6
+    for n in (0, 1, 4):
+        for x in (-0.8, 0.6, 1.3):
+            fd = (phi_deriv(family, n, np.asarray(x + h)) - phi_deriv(family, n, np.asarray(x - h))) / (2 * h)
+            an = phi_deriv2_all(family, np.asarray(x), n + 1)[n]
             assert np.max(np.abs(fd - an)) < 1e-8
 
 

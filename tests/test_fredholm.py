@@ -3,17 +3,20 @@ sigma-form residual."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from ncpiv.fredholm import (
+    _scalar_r_rp,
     build_gram,
     contour_det,
     gram_det,
     log_deriv,
     second_log_deriv,
     sigma_piv_residual,
+    upper_tail_gram,
 )
 from ncpiv.quadrature import circle_rule, vline_rule
 
@@ -44,7 +47,7 @@ def test_gap_monotone_in_s(fam_a):
 def test_gram_eigenvalues_in_unit_interval(fam_a, fam_b):
     for family in (fam_a, fam_b):
         for s in (-1.0, 0.0, 1.5):
-            g = build_gram(family, 4, s).G
+            g = upper_tail_gram(family, 4, s)
             evals = np.linalg.eigvalsh(0.5 * (g + g.T))
             assert np.min(evals) > -1e-9
             assert np.max(evals) < 1.0 + 1e-9
@@ -54,8 +57,8 @@ def test_gram_derivative_is_minus_b(fam_a):
     h = 1e-5
     for s in (-0.5, 0.7):
         sys0 = build_gram(fam_a, 3, s)
-        hi = build_gram(fam_a, 3, s + h).G
-        lo = build_gram(fam_a, 3, s - h).G
+        hi = upper_tail_gram(fam_a, 3, s + h)
+        lo = upper_tail_gram(fam_a, 3, s - h)
         fd = (hi - lo) / (2.0 * h)
         assert np.max(np.abs(fd + sys0.B)) < 1e-6
 
@@ -83,9 +86,37 @@ def test_analytic_rp_matches_finite_differences(fam_a, rng):
         assert abs(analytic - fd) < 1e-6 * (1.0 + abs(analytic))
 
 
+def test_analytic_rpp_scalar_matches_mpmath(fam_scalar):
+    # oracle: a 1e-12 central difference of the closed-form R' at 40
+    # digits; the largest error measured on this grid is 2.2e-9 (n=3,
+    # s=-2), where the double-precision central difference is 2.1e-6 off
+    with mp.workdps(40):
+        h = mp.mpf("1e-12")
+        for n in (1, 2, 3):
+            for s in np.linspace(-2.0, 3.0, 11):
+                s = float(s)
+                sm = mp.mpf(s)
+                oracle = float((_scalar_r_rp(n, sm + h)[1] - _scalar_r_rp(n, sm - h)[1]) / (2 * h))
+                analytic = log_deriv(fam_scalar, n, s, order=3)
+                assert abs(analytic - oracle) <= 1e-7 * abs(oracle)
+
+
+def test_analytic_rpp_matches_finite_differences(fam_a, fam_b):
+    # measured worst: 5.4e-8 (kind a, n=3, s=-1), the error of the
+    # central difference itself
+    for family in (fam_a, fam_b):
+        for n in (2, 3):
+            for s in np.linspace(-1.0, 2.0, 13):
+                s = float(s)
+                system = build_gram(family, n, s)
+                analytic = log_deriv(family, n, s, order=3, system=system)
+                fd = second_log_deriv(family, n, s)
+                assert abs(analytic - fd) < 1e-6 * (1.0 + abs(analytic))
+
+
 def test_log_deriv_rejects_bad_order(fam_scalar):
     with pytest.raises(ValueError, match="order must be"):
-        log_deriv(fam_scalar, 1, 0.0, order=3)
+        log_deriv(fam_scalar, 1, 0.0, order=4)
 
 
 def test_determinant_underflow_reported(fam_scalar):
