@@ -13,7 +13,7 @@ import numpy as np
 
 from .families import MOPFamily, phi_all, phi_deriv, phi_deriv2_all
 from .kernels import _ratio_power, contour_factors
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from .quadrature import (
     QuadRule,
@@ -209,15 +209,14 @@ def _gauss_moments(s, mmax: int) -> list:
     return moments
 
 
-def _scalar_r_rp(n: int, s):
-    """R(s) and R'(s) for the scalar family at extended precision.
+def _poly_deriv(coeffs: tuple) -> tuple:
+    """Derivative of a polynomial given by ascending coefficients."""
+    return tuple((i + 1) * c for i, c in enumerate(coeffs[1:])) or (mp.mpf(0),)
 
-    The lower-tail Gram is evaluated in closed form (erf plus
-    e^{-s^2} times a polynomial); the cut matrix B = psi psi^T is
-    rank one, so R = psi^T H^{-1} psi and R' = -R^2 + 2 psi'^T H^{-1} psi.
-    Extended precision is essential: cond(H) grows past 1e12 for
-    n = 5 near s = -3, which double arithmetic cannot absorb at the
-    target residual tolerance."""
+
+def _scalar_gram(n: int, s):
+    """The lower-tail Gram H of the scalar family in closed form (erf
+    plus e^{-s^2} times a polynomial), at the working mpmath precision."""
     polys = _hermite_monomials(n)
     moments = _gauss_moments(s, 2 * (n - 1))
     gram = mp.matrix(n)
@@ -229,19 +228,42 @@ def _scalar_r_rp(n: int, s):
                     conv[a + b] += ca * cb
             v = mp.fsum(c * moments[m] for m, c in enumerate(conv))
             gram[j, k] = gram[k, j] = v
+    return gram
+
+
+def _scalar_log_derivs(n: int, s):
+    """R(s), R'(s) and R''(s) for the scalar family at extended precision.
+
+    The lower-tail Gram H is evaluated in closed form (_scalar_gram);
+    the cut matrix B = H' = psi psi^T is rank one, so with
+    x = H^{-1} psi and y = H^{-1} psi'
+
+        R = psi^T x,  R' = 2 psi'^T x - R^2,
+        R'' = 2 psi''^T x + 2 psi'^T y - 3 R R' - R^3,
+
+    from one LU factorization of H.  Extended precision is essential:
+    cond(H) grows past 1e12 for n = 5 near s = -3, which double
+    arithmetic cannot absorb at the target residual tolerance."""
+    polys = _hermite_monomials(n)
+    gram = _scalar_gram(n, s)
     env = mp.e ** (-s * s / 2)
-    psi = mp.matrix([mp.polyval(list(reversed(p)), s) * env for p in polys])
-    dpolys = [tuple((i + 1) * c for i, c in enumerate(p[1:])) or (mp.mpf(0),) for p in polys]
-    psip = mp.matrix(
-        [
-            (mp.polyval(list(reversed(dp)), s) - s * mp.polyval(list(reversed(p)), s)) * env
-            for p, dp in zip(polys, dpolys)
-        ]
-    )
-    x = mp.lu_solve(gram, psi)
+    psi, psip, psipp = mp.matrix(n, 1), mp.matrix(n, 1), mp.matrix(n, 1)
+    for j, p in enumerate(polys):
+        # psi_j = p_j e^{-s^2/2}: psi' = (p' - s p) e^{-s^2/2} and
+        # psi'' = (p'' - 2 s p' + (s^2 - 1) p) e^{-s^2/2}
+        dp = _poly_deriv(p)
+        v, dv, ddv = (mp.polyval(list(reversed(c)), s) for c in (p, dp, _poly_deriv(dp)))
+        psi[j] = v * env
+        psip[j] = (dv - s * v) * env
+        psipp[j] = (ddv - 2 * s * dv + (s * s - 1) * v) * env
+    with mp.extraprec(10):
+        lu, piv = mp.mp.LU_decomp(gram)
+        x = mp.mp.U_solve(lu, mp.mp.L_solve(lu, psi, piv))
+        y = mp.mp.U_solve(lu, mp.mp.L_solve(lu, psip, piv))
     r = mp.fdot(psi, x)
     rp = -r * r + 2 * mp.fdot(psip, x)
-    return r, rp
+    rpp = 2 * mp.fdot(psipp, x) + 2 * mp.fdot(psip, y) - 3 * r * rp - r**3
+    return r, rp, rpp
 
 
 _MP_DPS = 40
@@ -250,19 +272,15 @@ _MP_DPS = 40
 def sigma_piv_residual(family: MOPFamily, n: int, s: float) -> float:
     """Left-hand side of the sigma-form Painleve IV relation
     (R'')^2 + 4 (R')^2 (R' + 2n) - 4 (s R' - R)^2 for the scalar
-    (Gaussian Hermite) family.  R'' is one central difference of the
-    analytic R' with step 1e-4."""
+    (Gaussian Hermite) family, with R, R', R'' in closed form at 40
+    digits (one Gram system, no finite difference)."""
     if family.dim != 1:
         raise ValueError("scalar family required")
     if n > family.nmax:
         raise ValueError("degree out of range")
     with mp.workdps(_MP_DPS):
         sm = mp.mpf(s)
-        step = mp.mpf("1e-4")
-        r, rp = _scalar_r_rp(n, sm)
-        _, rp_hi = _scalar_r_rp(n, sm + step)
-        _, rp_lo = _scalar_r_rp(n, sm - step)
-        rpp = (rp_hi - rp_lo) / (2 * step)
+        r, rp, rpp = _scalar_log_derivs(n, sm)
         resid = rpp**2 + 4 * rp**2 * (rp + 2 * n) - 4 * (sm * rp - r) ** 2
         return float(resid)
 
@@ -281,15 +299,21 @@ def contour_det(
                     (w/z)^n Bfac(z) Bhat(w) / ((lam - z)(w - z)),
 
     returning det(Id - [K(lam_i, lam_j) w_j]).  Equals the Gram-route
-    determinant.
+    determinant.  The kernel factors through the circle nodes, so the
+    determinant is taken of a reduced matrix with N times as many rows
+    as the circle has nodes (128 for the 2 x 2 families and 64 for the
+    scalar one on the default 64-node circle), never of the full
+    Nystrom matrix.
     """
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
     if circle is None:
         # tight contours keep the Nystrom entries O(1) -- the entry scale
         # grows like e^{2|s|(r + ell)}, which would swamp small gap
-        # probabilities at negative s with cancellation noise
-        circle = circle_rule(0.25)
+        # probabilities at negative s with cancellation noise.  The
+        # trapezoid error decays like (radius / line abscissa)^m, here
+        # (0.25 / 0.5)^64 ~ 5e-20; 48 nodes already lose scan rows
+        circle = circle_rule(0.25, m=64)
     if line is None:
         # truncation long enough that the balanced row/column factors
         # e^{lam^2/2 - s lam} have decayed at the endpoints
@@ -301,17 +325,16 @@ def contour_det(
     if mline * dim > _NYSTROM_BUDGET:
         raise ValueError("budget exceeded")
 
-    if family.weight.kind == "scalar":
-        # the contour factors degenerate to the identity
-        eye1 = np.eye(1, dtype=complex)
-        bleft = bright = lambda _: eye1
-    else:
-        bleft, bright = contour_factors(family.weight, n)
     z, wz = circle.nodes, circle.weights
     lam, wl = line.nodes, line.weights
-
-    bl = np.stack([np.asarray(bleft(zi), dtype=complex) for zi in z])  # (mz, N, p)
-    br = np.stack([np.asarray(bright(li), dtype=complex) for li in lam])  # (ml, p, N)
+    if family.weight.kind == "scalar":
+        # the contour factors degenerate to the identity
+        bl = np.ones((z.size, 1, 1), dtype=complex)
+        br = np.ones((mline, 1, 1), dtype=complex)
+    else:
+        bleft, bright = contour_factors(family.weight, n)
+        bl = bleft(z)  # (mz, N, p)
+        br = bright(lam)  # (ml, p, N)
 
     cz = wz * np.exp(-z * z + 2.0 * s * z) / _ratio_power(z, n) / (2j * np.pi) ** 2
     # split the outer exponentials symmetrically between the row and
@@ -320,12 +343,27 @@ def contour_det(
     v = wl * np.exp(0.5 * lam * lam - s * lam) * _ratio_power(lam, n)
     a = 1.0 / (lam[:, None] - z[None, :])  # (ml, mz)
 
-    # blocks[i, j] = u_i v_j sum_k cz_k a_ik a_jk bl_k @ br_j
-    inner = np.einsum("ik,jk,k,kap->ijap", a, a, cz, bl, optimize=True)
-    blocks = np.einsum("i,j,ijap,jpb->iajb", u, v, inner, br, optimize=True)
-    full = blocks.reshape(mline * dim, mline * dim)
-
-    sign, logabs = np.linalg.slogdet(np.eye(mline * dim) - full)
+    # The Nystrom matrix [K(lam_i, lam_j) w_j] factors through the circle
+    # nodes as U V, with U[(a,i),(k,q)] = u_i a_ik cz_k bl_k[a,q] and
+    # V[(k,q),(b,j)] = a_jk v_j br_j[q,b] (matrix component before line
+    # node, a permutation similarity).  Each row block of U is the same
+    # M = diag(u) [a_ik] times a diagonal in k, so the thin QR M = Q R
+    # gives U = (I_N kron Q) S, and by Sylvester's identity
+    # det(I - U V) = det(I - S V (I_N kron Q)), of size N min(ml, mz).
+    # S V = R Y with Y[k,(a,b,j)] = cz_k a_jk v_j (bl_k br_j)[a,b] is
+    # summed over the circle nodes before the projection onto Q: taken
+    # the other way round, S (V Q), or as the plain det(I - V U), the
+    # circle sum, which cancels terms of size |z|^{-n}, costs relative
+    # accuracy at small determinants.
+    q, r = qr(u[:, None] * a, mode="economic", check_finite=False)
+    rank = r.shape[0]
+    p = bl.shape[2]
+    blbr = bl.reshape(z.size * dim, p) @ br.transpose(1, 2, 0).reshape(p, dim * mline)
+    y = blbr.reshape(z.size, dim * dim, mline) * ((cz[:, None] * a.T) * v)[:, None, :]
+    sv = r @ y.reshape(z.size, dim * dim * mline)  # (l, a, b, j)
+    red = (sv.reshape(rank * dim * dim, mline) @ q).reshape(rank, dim, dim, rank)
+    red = red.transpose(1, 0, 2, 3).reshape(dim * rank, dim * rank)
+    sign, logabs = np.linalg.slogdet(np.eye(dim * rank) - red)
     det = sign * np.exp(logabs)
     if abs(det.imag) > _IMAG_TOL * (1.0 + abs(det.real)):
         raise ValueError("determinant has non-negligible imaginary part")

@@ -55,7 +55,9 @@ def _ratio_power(ratio: np.ndarray, n: int) -> np.ndarray:
 
 def contour_factors(fam: WeightFamily, n: int):
     """The two matrix-valued contour factors of the double-integral
-    kernel: left factor of z (N x p) and right factor of w (p x N)."""
+    kernel: left factor of z (N x p) and right factor of w (p x N).
+    Both take a scalar or a whole node array (k,), giving (k, N, p)
+    and (k, p, N) stacks."""
     consts = family_constants(fam, n)
     if fam.kind == "a":
         j = fam.jexp
@@ -179,7 +181,7 @@ def intrep_loop(
     if circle is None:
         circle = circle_rule(1.0)
     z, wz = circle.nodes, circle.weights
-    conj = np.stack([power_conjugate(-j, consts["C"], zi) for zi in z])
+    conj = power_conjugate(-j, consts["C"], z)
     fz = wz * np.exp(-z * z + 2.0 * z * x) / _ratio_power(z, n + 1)
     return np.einsum("z,zab->ab", fz, conj)
 
@@ -196,7 +198,7 @@ def intrep_line(
     if line is None:
         line = vline_rule(2.0)
     w, ww = line.nodes, line.weights
-    conj = np.stack([power_conjugate(j, consts["D"], wi) for wi in w])
+    conj = power_conjugate(j, consts["D"], w)
     fw = ww * np.exp(w * w - 2.0 * x * w) * _ratio_power(w, n)
     return np.exp(x * x) * np.einsum("w,wab->ab", fw, conj)
 

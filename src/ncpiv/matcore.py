@@ -61,25 +61,23 @@ def nilpotent_exp(a: np.ndarray, x: float) -> np.ndarray:
     return out
 
 
-def power_conjugate(d_left, m: np.ndarray, z: complex, d_right=None) -> np.ndarray:
+def power_conjugate(d_left, m: np.ndarray, z, d_right=None) -> np.ndarray:
     """Entrywise m[i,j] * z**(d_left[i] - d_right[j]) with integer exponents.
 
     This realizes the sandwich z**D_left @ m @ z**(-D_right) without ever
     evaluating a complex logarithm, so the result is single-valued in z.
-    d_right defaults to d_left.
+    d_right defaults to d_left.  A scalar z gives one (r, c) matrix; an
+    array of nodes of shape (k,) gives the stack (k, r, c).
     """
     d_left = np.asarray(d_left, dtype=int)
     if d_right is None:
         d_right = d_left
     d_right = np.asarray(d_right, dtype=int)
     exps = d_left[:, None] - d_right[None, :]
-    if z == 0:
-        if np.any(exps < 0):
-            raise ValueError("pole at origin")
-        scale = np.where(exps == 0, 1.0, 0.0)
-    else:
-        scale = np.asarray(z, dtype=complex) ** exps
-    return m * scale
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0) and np.any(exps < 0):
+        raise ValueError("pole at origin")
+    return m * z[..., None, None] ** exps
 
 
 def right_inverse(m: np.ndarray) -> np.ndarray:

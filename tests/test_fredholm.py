@@ -9,7 +9,8 @@ import pytest
 from scipy.special import erf
 
 from ncpiv.fredholm import (
-    _scalar_r_rp,
+    _scalar_gram,
+    _scalar_log_derivs,
     build_gram,
     contour_det,
     gram_det,
@@ -96,7 +97,8 @@ def test_analytic_rpp_scalar_matches_mpmath(fam_scalar):
             for s in np.linspace(-2.0, 3.0, 11):
                 s = float(s)
                 sm = mp.mpf(s)
-                oracle = float((_scalar_r_rp(n, sm + h)[1] - _scalar_r_rp(n, sm - h)[1]) / (2 * h))
+                hi, lo = _scalar_log_derivs(n, sm + h)[1], _scalar_log_derivs(n, sm - h)[1]
+                oracle = float((hi - lo) / (2 * h))
                 analytic = log_deriv(fam_scalar, n, s, order=3)
                 assert abs(analytic - oracle) <= 1e-7 * abs(oracle)
 
@@ -130,6 +132,26 @@ def test_sigma_piv_residual_sample_points(fam_scalar):
         assert abs(sigma_piv_residual(fam_scalar, n, s)) < 1e-6 * (1.0 + rpp * rpp)
 
 
+@pytest.mark.parametrize("n,s", [(1, 0.0), (2, 1.3), (3, -1.5), (4, 2.5), (5, -3.0)])
+def test_sigma_piv_residual_vanishes_to_extended_precision(fam_scalar, n, s):
+    # with R'' in closed form only the 40-digit rounding remains:
+    # measured at most 3.3e-29 (1 + R''^2) over n <= 5, s in [-3, 3]
+    rpp = log_deriv(fam_scalar, n, s, order=3)
+    assert abs(sigma_piv_residual(fam_scalar, n, s)) <= 1e-20 * (1.0 + rpp * rpp)
+
+
+def test_scalar_closed_form_rpp_matches_central_difference():
+    # measured worst: 1.3e-14 relative, the error of the difference
+    with mp.workdps(40):
+        h = mp.mpf("1e-12")
+        for n in (1, 3, 5):
+            for s in (-3.0, -1.0, 0.5, 2.0):
+                sm = mp.mpf(s)
+                fd = (_scalar_log_derivs(n, sm + h)[1] - _scalar_log_derivs(n, sm - h)[1]) / (2 * h)
+                rpp = _scalar_log_derivs(n, sm)[2]
+                assert abs(rpp - fd) <= mp.mpf("1e-12") * (1 + abs(rpp))
+
+
 def test_sigma_piv_requires_scalar(fam_a):
     with pytest.raises(ValueError, match="scalar family required"):
         sigma_piv_residual(fam_a, 1, 0.0)
@@ -140,6 +162,48 @@ def test_contour_route_equality_spot_checks(fam_a, fam_scalar):
         g = gram_det(family, n, s)
         c = contour_det(family, n, s)
         assert abs(g - c) <= 1e-5 * (1.0 + abs(g))
+
+
+def test_contour_route_log_det_agreement(fam_a, fam_b, fam_scalar):
+    # relative (log-det) agreement, s in [-1, 3]: scalar against a
+    # 50-digit closed form, kinds a and b against the Gram route;
+    # measured worst: 1.2e-10 (scalar), 9.7e-10 (a, b)
+    grid = np.linspace(-1.0, 3.0, 9)
+    with mp.workdps(50):
+        for n in (1, 2, 3):
+            for s in grid:
+                s = float(s)
+                ref = float(mp.log(mp.det(_scalar_gram(n, mp.mpf(s)))))
+                assert abs(math.log(contour_det(fam_scalar, n, s)) - ref) <= 1e-8
+    for family in (fam_a, fam_b):
+        for n in (1, 2, 3):
+            for s in grid:
+                s = float(s)
+                ref = log_deriv(family, n, s, order=0)
+                assert abs(math.log(contour_det(family, n, s)) - ref) <= 1e-8
+
+
+def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
+    # with the default rules the determinant is taken of a matrix of at
+    # most 64 p rows (p = 1, 2, 3 contour-factor columns), never of the
+    # 400 N Nystrom matrix; 64 circle nodes agree with 256
+    shapes = []
+    slogdet = np.linalg.slogdet
+
+    def recording_slogdet(mat):
+        shapes.append(mat.shape)
+        return slogdet(mat)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    for family, p in ((fam_scalar, 1), (fam_a, 2), (fam_b, 3)):
+        for s in (0.0, 1.0):
+            shapes.clear()
+            det = contour_det(family, 3, s)
+            assert len(shapes) == 1
+            rows, cols = shapes[0]
+            assert rows == cols <= 64 * p
+            fine = contour_det(family, 3, s, circle=circle_rule(0.25, 256))
+            assert abs(math.log(det) - math.log(fine)) <= 1e-10
 
 
 def test_contour_det_far_right_tail(fam_b):

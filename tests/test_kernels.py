@@ -19,6 +19,7 @@ from ncpiv.kernels import (
     polynomial_times_tfactor,
     reproducing_residual,
 )
+from ncpiv.quadrature import circle_rule, vline_rule
 
 
 def hermite_kernel(n, x, y):
@@ -96,6 +97,16 @@ def test_kernel_spec_validates_generic_factors():
             bleft=lambda z: 2.0 * np.eye(2),
             bright=lambda w: np.eye(2),
         )
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_contour_factors_on_node_arrays(kind):
+    bleft, bright = contour_factors(WeightFamily(kind=kind, nu=0.7), 3)
+    nodes = np.concatenate([circle_rule(0.25, m=16).nodes, vline_rule(0.5, m=16).nodes])
+    for factor in (bleft, bright):
+        stacked = np.stack([factor(z) for z in nodes])
+        assert factor(nodes).shape == stacked.shape
+        assert np.array_equal(factor(nodes), stacked)
 
 
 def test_generic_form_with_true_factors(fam_a):

@@ -113,6 +113,21 @@ def test_power_conjugate_rectangular():
 def test_power_conjugate_pole_at_origin():
     with pytest.raises(ValueError, match="pole at origin"):
         power_conjugate(np.array([1, 0]), np.ones((2, 2)), 0.0)
+    with pytest.raises(ValueError, match="pole at origin"):
+        power_conjugate(np.array([1, 0]), np.ones((2, 2)), np.array([1.0, 0.0, 2j]))
+
+
+def test_power_conjugate_node_array():
+    d_left, d_right = np.array([2, 0]), np.array([2, 1, 0])
+    m = np.arange(6.0).reshape(2, 3) + 1.0
+    nodes = np.array([0.5, -1.0 + 2.0j, 3.0j])
+    out = power_conjugate(d_left, m, nodes, d_right)
+    assert out.shape == (3, 2, 3)
+    for z, block in zip(nodes, out):
+        assert np.array_equal(block, power_conjugate(d_left, m, z, d_right))
+    # no negative exponent: a node at the origin is allowed
+    at_zero = power_conjugate(np.array([0, 1]), m[:, :2], np.array([0.0, 1.0]), np.array([0, 0]))
+    assert np.array_equal(at_zero[0], np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
 def test_right_inverse_square_is_inverse():
