@@ -6,7 +6,7 @@ Painleve IV reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,45 +140,53 @@ def rhs(state: PIVState):
     return yd, zp, zpd, up
 
 
-def _pack(state: PIVState) -> np.ndarray:
-    return np.concatenate(
-        [state.y.ravel(), state.z.ravel(), state.zp.ravel(), state.u.ravel()]
-    )
+_PIV_FIELDS = ("y", "z", "zp", "u")
+_SYM_FIELDS = ("q", "qp", "r", "rp")
 
 
-def _unpack(vec: np.ndarray, proto: PIVState, s: float) -> PIVState:
-    cols = proto.y.shape[1]
-    ny = 2 * cols
-    y = vec[:ny].reshape(2, cols)
-    z = vec[ny : ny + 4].reshape(2, 2)
-    zp = vec[ny + 4 : ny + 8].reshape(2, 2)
-    u = vec[ny + 8 :].reshape(2, 2)
-    return replace(proto, s=s, y=y, z=z, zp=zp, u=u)
+def _pack(state, fields: tuple) -> np.ndarray:
+    return np.concatenate([getattr(state, f).ravel() for f in fields])
 
 
-def _flow(vec: np.ndarray, proto: PIVState, s: float) -> np.ndarray:
-    yd, zd, zpd, ud = rhs(_unpack(vec, proto, s))
-    return np.concatenate([yd.ravel(), zd.ravel(), zpd.ravel(), ud.ravel()])
+def _unpack(vec: np.ndarray, proto, fields: tuple, s: float):
+    """The state like proto at s whose fields are consecutive slices of vec;
+    built directly, as dataclasses.replace costs ~1 us more per RK stage."""
+    parts, i = {"s": s, "variant": proto.variant, "n": proto.n}, 0
+    for f in fields:
+        shape = getattr(proto, f).shape
+        end = i + shape[0] * shape[1]
+        parts[f] = vec[i:end].reshape(shape)
+        i = end
+    return type(proto)(**parts)
 
 
-def _rk4_path(state0: PIVState, s_end: float, h: float) -> list:
-    steps = int(round(abs(s_end - state0.s) / h))
-    sign = 1.0 if s_end >= state0.s else -1.0
-    vec = _pack(state0)
-    s = state0.s
-    states = [state0]
-    for _ in range(steps):
-        dt = sign * h
-        k1 = _flow(vec, state0, s)
-        k2 = _flow(vec + 0.5 * dt * k1, state0, s + 0.5 * dt)
-        k3 = _flow(vec + 0.5 * dt * k2, state0, s + 0.5 * dt)
-        k4 = _flow(vec + dt * k3, state0, s + dt)
+def _rk4(flow, vec0: np.ndarray, s0: float, s_end: float, h: float):
+    """Classical fixed-step RK4 for vec' = flow(vec, s) from s0 to s_end;
+    returns the abscissae and the state vectors, the initial ones included.
+    A ValueError inside a stage and a blow-up (non-finite state or norm
+    above _BLOWUP) both name the s at the end of the failing step."""
+    if h <= 0:
+        raise ValueError("step must be positive")
+    if abs(s_end - s0) / h > _MAX_STEPS:
+        raise ValueError("too many steps")
+    dt = h if s_end >= s0 else -h
+    s, vec = s0, vec0
+    ss, vecs = [s], [vec]
+    for _ in range(int(round(abs(s_end - s0) / h))):
+        try:
+            k1 = flow(vec, s)
+            k2 = flow(vec + 0.5 * dt * k1, s + 0.5 * dt)
+            k3 = flow(vec + 0.5 * dt * k2, s + 0.5 * dt)
+            k4 = flow(vec + dt * k3, s + dt)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at s={s + dt:.6g}") from exc
         vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += dt
         if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) > _BLOWUP:
             raise ValueError(f"singularity encountered at s={s:.6g}")
-        states.append(_unpack(vec, state0, s))
-    return states
+        ss.append(s)
+        vecs.append(vec)
+    return ss, vecs
 
 
 def integrate(
@@ -187,15 +195,17 @@ def integrate(
     """Classical fixed-step fourth-order integration from state0.s to
     s_end; optionally reports a step-halving estimate of the endpoint
     global error."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if abs(s_end - state0.s) / h > _MAX_STEPS:
-        raise ValueError("too many steps")
-    states = _rk4_path(state0, s_end, h)
+
+    def flow(vec, s):
+        return np.concatenate([d.ravel() for d in rhs(_unpack(vec, state0, _PIV_FIELDS, s))])
+
+    vec0 = _pack(state0, _PIV_FIELDS)
+    ss, vecs = _rk4(flow, vec0, state0.s, s_end, h)
+    states = [state0] + [_unpack(v, state0, _PIV_FIELDS, s) for s, v in zip(ss[1:], vecs[1:])]
     err = None
     if error_estimate:
-        fine = _rk4_path(state0, s_end, h / 2.0)
-        err = float(np.linalg.norm(_pack(states[-1]) - _pack(fine[-1])))
+        fine = _rk4(flow, vec0, state0.s, s_end, h / 2.0)[1]
+        err = float(np.linalg.norm(vecs[-1] - fine[-1]))
     return Trajectory(states=states, global_error_estimate=err)
 
 
@@ -338,8 +348,7 @@ def lax_compat_residual(state: PIVState, lam: complex) -> np.ndarray:
     trajectories of the flow."""
     if lam == 0:
         raise ValueError("pole of A")
-    s, y, z, u, n = state.s, state.y, state.z, state.u, state.n
-    zp = state.zp
+    y, z, zp, u = state.y, state.z, state.zp, state.u
     d = analytic_derivatives(state)
     yd, zd, zpd, up = d["yp"], d["zp"], d["zpp"], d["up"]
     yi = _yinv(state.variant, y)
@@ -360,12 +369,17 @@ def lax_compat_residual(state: PIVState, lam: complex) -> np.ndarray:
         yid @ zp + yi @ zpd - yid @ u @ z - yi @ up @ z - yi @ u @ zd
     ) / lam
     ds[2:, 2:] = ip + (yid @ z @ y + yi @ zd @ y + yi @ z @ yd) / lam
+    return _compat_tail(ds, lax_matrices(state), lam)
 
-    amat, umat = lax_matrices(state)
+
+def _compat_tail(ds: np.ndarray, matrices, lam: complex) -> np.ndarray:
+    """ds - d/dlam U - [U, A] at lam for (A, U) = matrices and ds = d/ds A;
+    d/dlam U = diag(-I_2, I_p) in both formulations."""
+    amat, umat = matrices
     a, um = amat(lam), umat(lam)
     dlam_u = np.zeros_like(um)
-    dlam_u[:2, :2] = -i2
-    dlam_u[2:, 2:] = ip
+    dlam_u[:2, :2] = -np.eye(2)
+    dlam_u[2:, 2:] = np.eye(len(um) - 2)
     return ds - dlam_u - (um @ a - a @ um)
 
 
@@ -406,50 +420,16 @@ def sym_rhs(state: SymState):
     return qp, qpp, rp, rpp
 
 
-def _sym_pack(state: SymState) -> np.ndarray:
-    return np.concatenate(
-        [state.q.ravel(), state.qp.ravel(), state.r.ravel(), state.rp.ravel()]
-    )
-
-
-def _sym_unpack(vec, proto: SymState, s: float) -> SymState:
-    cols = proto.q.shape[1]
-    nq = 2 * cols
-    q = vec[:nq].reshape(2, cols)
-    qp = vec[nq : 2 * nq].reshape(2, cols)
-    r = vec[2 * nq : 3 * nq].reshape(cols, 2)
-    rp = vec[3 * nq :].reshape(cols, 2)
-    return replace(proto, s=s, q=q, qp=qp, r=r, rp=rp)
-
-
 def integrate_sym(state0: SymState, s_end: float, h: float) -> Trajectory:
     """Fixed-step fourth-order integration of the symmetric system."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    steps = int(round(abs(s_end - state0.s) / h))
-    if steps > _MAX_STEPS:
-        raise ValueError("too many steps")
-    sign = 1.0 if s_end >= state0.s else -1.0
 
     def flow(vec, s):
-        qd, qdd, rd, rdd = sym_rhs(_sym_unpack(vec, state0, s))
-        return np.concatenate([qd.ravel(), qdd.ravel(), rd.ravel(), rdd.ravel()])
+        return np.concatenate([d.ravel() for d in sym_rhs(_unpack(vec, state0, _SYM_FIELDS, s))])
 
-    vec = _sym_pack(state0)
-    s = state0.s
-    states = [state0]
-    for _ in range(steps):
-        dt = sign * h
-        k1 = flow(vec, s)
-        k2 = flow(vec + 0.5 * dt * k1, s + 0.5 * dt)
-        k3 = flow(vec + 0.5 * dt * k2, s + 0.5 * dt)
-        k4 = flow(vec + dt * k3, s + dt)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += dt
-        if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) > _BLOWUP:
-            raise ValueError(f"singularity encountered at s={s:.6g}")
-        states.append(_sym_unpack(vec, state0, s))
-    return Trajectory(states=states)
+    ss, vecs = _rk4(flow, _pack(state0, _SYM_FIELDS), state0.s, s_end, h)
+    return Trajectory(
+        states=[state0] + [_unpack(v, state0, _SYM_FIELDS, s) for s, v in zip(ss[1:], vecs[1:])]
+    )
 
 
 def sym_lax_matrices(state: SymState):
@@ -507,13 +487,7 @@ def sym_compat_residual(state: SymState, lam: complex) -> np.ndarray:
     ds[:2, 2:] = -qd + (4.0 * q + 4.0 * state.s * qd + 2.0 * qdd) / (4.0 * lam)
     ds[2:, :2] = -rd + (4.0 * r + 4.0 * state.s * rd - 2.0 * rdd) / (4.0 * lam)
     ds[2:, 2:] = ip - rho_lpp / (4.0 * lam)
-
-    amat, umat = sym_lax_matrices(state)
-    a, um = amat(lam), umat(lam)
-    dlam_u = np.zeros_like(um)
-    dlam_u[:2, :2] = -i2
-    dlam_u[2:, 2:] = ip
-    return ds - dlam_u - (um @ a - a @ um)
+    return _compat_tail(ds, sym_lax_matrices(state), lam)
 
 
 def sym_residuals(state: SymState, lams=(1.0, -1.0, 2j, -2j, 0.5)) -> dict:
@@ -536,18 +510,23 @@ def sym_residuals(state: SymState, lams=(1.0, -1.0, 2j, -2j, 0.5)) -> dict:
 # scalar reductions
 
 
-def scalar_piv_residual(u: float, up: float, upp: float, s: float, n: float) -> float:
-    """Residual of the standard Painleve IV equation
-    u'' = u'^2/(2u) + (3/2)u^3 - 4su^2 + 2(s^2+1+n)u - 2n^2/u."""
+def _scalar_piv_upp(u: float, up: float, s: float, n: float) -> float:
+    """u'' from the Painleve IV equation of scalar_piv_residual."""
     if u == 0:
         raise ValueError("PIV singular term")
-    return upp - (
+    return (
         up * up / (2.0 * u)
         + 1.5 * u**3
         - 4.0 * s * u * u
         + 2.0 * (s * s + 1.0 + n) * u
         - 2.0 * n * n / u
     )
+
+
+def scalar_piv_residual(u: float, up: float, upp: float, s: float, n: float) -> float:
+    """Residual of the standard Painleve IV equation
+    u'' = u'^2/(2u) + (3/2)u^3 - 4su^2 + 2(s^2+1+n)u - 2n^2/u."""
+    return upp - _scalar_piv_upp(u, up, s, n)
 
 
 def scalar_derived_residual(
@@ -574,18 +553,6 @@ def scalar_derived_residual(
     )
 
 
-def _scalar_piv_upp(u: float, up: float, s: float, n: float) -> float:
-    if u == 0:
-        raise ValueError("PIV singular term")
-    return (
-        up * up / (2.0 * u)
-        + 1.5 * u**3
-        - 4.0 * s * u * u
-        + 2.0 * (s * s + 1.0 + n) * u
-        - 2.0 * n * n / u
-    )
-
-
 def scalar_piv_third_derivative(u: float, up: float, s: float, n: float) -> float:
     """u''' along a Painleve IV solution, by differentiating the
     right-hand side of the equation."""
@@ -605,28 +572,11 @@ def scalar_piv_third_derivative(u: float, up: float, s: float, n: float) -> floa
 def integrate_scalar_piv(u0: float, up0: float, s0: float, s_end: float, h: float, n: float):
     """Fixed-step fourth-order integration of scalar Painleve IV;
     returns arrays (s, u, u')."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    steps = int(round(abs(s_end - s0) / h))
-    sign = 1.0 if s_end >= s0 else -1.0
-    ss, us, ups = [s0], [u0], [up0]
-    u, up, s = u0, up0, s0
 
-    def flow(u, up, s):
-        return up, _scalar_piv_upp(u, up, s, n)
+    def flow(vec, s):
+        # numpy scalars, not a sliced array: u**3 must round as for a float
+        return np.array([vec[1], _scalar_piv_upp(vec[0], vec[1], s, n)])
 
-    for _ in range(steps):
-        dt = sign * h
-        k1 = flow(u, up, s)
-        k2 = flow(u + 0.5 * dt * k1[0], up + 0.5 * dt * k1[1], s + 0.5 * dt)
-        k3 = flow(u + 0.5 * dt * k2[0], up + 0.5 * dt * k2[1], s + 0.5 * dt)
-        k4 = flow(u + dt * k3[0], up + dt * k3[1], s + dt)
-        u += (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        up += (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        s += dt
-        if not np.isfinite(u) or abs(u) > _BLOWUP:
-            raise ValueError(f"singularity encountered at s={s:.6g}")
-        ss.append(s)
-        us.append(u)
-        ups.append(up)
-    return np.array(ss), np.array(us), np.array(ups)
+    ss, vecs = _rk4(flow, np.array([u0, up0], dtype=float), s0, s_end, h)
+    us, ups = np.array(vecs).T
+    return np.array(ss), us, ups

@@ -3,6 +3,7 @@ format contracts, and determinism."""
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -294,6 +295,14 @@ def test_painleve_blowup_is_recorded_not_fatal(tmp_path):
     assert code == EXIT_OK  # movable poles are expected behaviour
     rows = read_csv(out)
     assert "singularity encountered at s=" in rows[-1][-1]
+
+
+def test_painleve_pole_flag_names_s(tmp_path):
+    # the README command: y turns singular inside an RK stage near s = 0.89
+    out = tmp_path / "traj.csv"
+    argv = ["painleve", "--family", "a", "--n", "1", "--seed", "7", "--s-min", "0", "--s-max", "1"]
+    assert main(argv + ["--step", "1e-3", "--out", str(out)]) == EXIT_OK
+    assert re.match(r"^y singular at s=", read_csv(out)[-1][-1])
 
 
 def test_airy_scan_decreasing(tmp_path):

@@ -107,6 +107,32 @@ def test_blowup_reports_location():
         integrate(state, 5.0, 1e-2)
 
 
+BLOWUP_FLOWS = {
+    "integrate": lambda s_end, h: integrate(
+        PIVState(s=0.0, y=I2, z=50.0 * I2, zp=200.0 * I2, u=60.0 * I2, variant="a", n=0),
+        s_end,
+        h,
+    ),
+    "integrate_sym": lambda s_end, h: integrate_sym(
+        SymState(s=0.0, q=3.0 * I2, qp=Z2, r=3.0 * I2, rp=Z2, variant="a", n=1), s_end, h
+    ),
+    "integrate_scalar_piv": lambda s_end, h: integrate_scalar_piv(10.0, 0.0, 0.0, s_end, h, n=1.0),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(BLOWUP_FLOWS))
+def test_step_guards_on_every_flow(flow):
+    # data that runs into a pole well before s = 5, so a missing step cap
+    # shows as a blow-up rather than as a long run
+    run = BLOWUP_FLOWS[flow]
+    with pytest.raises(ValueError, match="step must be positive"):
+        run(1.0, 0.0)
+    with pytest.raises(ValueError, match="too many steps"):
+        run(2e3, 1e-3)
+    with pytest.raises(ValueError, match="singularity encountered at s="):
+        run(5.0, 1e-2)
+
+
 def test_state_shape_validation():
     with pytest.raises(ValueError, match="wrong shape"):
         PIVState(s=0.0, y=np.eye(3), z=Z2, zp=Z2, u=Z2, variant="a", n=0)
