@@ -164,7 +164,7 @@ def cmd_verify(config: RunConfig) -> int:
                 direct = kernels.polynomial_times_tfactor(family, k, x)
                 worst = max(
                     worst,
-                    float(np.max(np.abs(kernels.intrep_loop(family, k, x, circle) - direct))),
+                    float(np.max(np.abs(kernels.intrep_loop(family, k, x) - direct))),
                     float(np.max(np.abs(kernels.intrep_line(family, k, x, line) - direct))),
                 )
         checks.append(("integral-representations", "", worst, 1e-8))
@@ -197,8 +197,9 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
         defaults.line_re,
         defaults.line_trunc,
     )
-    # with default contour settings let contour_det pick its own
-    # (s-adapted) rules, which stay accurate for strongly negative s
+    # with default contour settings let contour_det pick its own line,
+    # whose truncation grows with |s|; rows at strongly negative s still
+    # carry the cancellation defect of a tiny det(I - M)
     circle, line = _rules(config) if custom else (None, None)
     grid = np.linspace(config.s_min, config.s_max, config.s_steps)
 

@@ -12,13 +12,12 @@ import mpmath as mp
 import numpy as np
 
 from .families import MOPFamily, phi_all, phi_deriv, phi_deriv2_all
-from .kernels import _ratio_power, contour_factors
-from scipy.linalg import qr, solve_triangular
+from .kernels import _hermite_coeffs, _laurent_data
+from scipy.linalg import solve_triangular
 
 from .quadrature import (
     QuadRule,
     check_contour_ordering,
-    circle_rule,
     gauss_hermite,
     lower_tail_rule,
     tail_integral,
@@ -299,71 +298,53 @@ def contour_det(
                     (w/z)^n Bfac(z) Bhat(w) / ((lam - z)(w - z)),
 
     returning det(Id - [K(lam_i, lam_j) w_j]).  Equals the Gram-route
-    determinant.  The kernel factors through the circle nodes, so the
-    determinant is taken of a reduced matrix with N times as many rows
-    as the circle has nodes (128 for the 2 x 2 families and 64 for the
-    scalar one on the default 64-node circle), never of the full
-    Nystrom matrix.
+    determinant.  The loop integral is taken by residues, so the
+    determinant is taken of a reduced matrix of N (n - min e) rows
+    (n for the scalar family, 2 (n + 1) for kind a, 2 (n + 2) for
+    kind b), never of the full Nystrom matrix.  A given circle only
+    certifies that z = 0 is the one pole inside the loop.
     """
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
-    if circle is None:
-        # tight contours keep the Nystrom entries O(1) -- the entry scale
-        # grows like e^{2|s|(r + ell)}, which would swamp small gap
-        # probabilities at negative s with cancellation noise.  The
-        # trapezoid error decays like (radius / line abscissa)^m, here
-        # (0.25 / 0.5)^64 ~ 5e-20; 48 nodes already lose scan rows
-        circle = circle_rule(0.25, m=64)
     if line is None:
-        # truncation long enough that the balanced row/column factors
-        # e^{lam^2/2 - s lam} have decayed at the endpoints
+        # truncation long enough that e^{lam^2 - 2 s lam} has decayed at
+        # the endpoints
         ell = 0.5
         line = vline_rule(ell, T=np.sqrt(ell * ell + 4.0 * abs(s) * ell + 80.0))
-    check_contour_ordering(circle, line)
+    if circle is not None:
+        check_contour_ordering(circle, line)
+    elif np.min(line.nodes.real) <= 0.0:
+        raise ValueError("contours intersect ordering")
     dim = family.dim
-    mline = line.nodes.size
-    if mline * dim > _NYSTROM_BUDGET:
+    lam, wl = line.nodes, line.weights
+    if lam.size * dim > _NYSTROM_BUDGET:
         raise ValueError("budget exceeded")
 
-    z, wz = circle.nodes, circle.weights
-    lam, wl = line.nodes, line.weights
-    if family.weight.kind == "scalar":
-        # the contour factors degenerate to the identity
-        bl = np.ones((z.size, 1, 1), dtype=complex)
-        br = np.ones((mline, 1, 1), dtype=complex)
-    else:
-        bleft, bright = contour_factors(family.weight, n)
-        bl = bleft(z)  # (mz, N, p)
-        br = bright(lam)  # (ml, p, N)
-
-    cz = wz * np.exp(-z * z + 2.0 * s * z) / _ratio_power(z, n) / (2j * np.pi) ** 2
-    # split the outer exponentials symmetrically between the row and
-    # column factors (a diagonal similarity), keeping entries balanced
-    u = np.exp(-s * lam + 0.5 * lam * lam)  # left-variable factor
-    v = wl * np.exp(0.5 * lam * lam - s * lam) * _ratio_power(lam, n)
-    a = 1.0 / (lam[:, None] - z[None, :])  # (ml, mz)
-
-    # The Nystrom matrix [K(lam_i, lam_j) w_j] factors through the circle
-    # nodes as U V, with U[(a,i),(k,q)] = u_i a_ik cz_k bl_k[a,q] and
-    # V[(k,q),(b,j)] = a_jk v_j br_j[q,b] (matrix component before line
-    # node, a permutation similarity).  Each row block of U is the same
-    # M = diag(u) [a_ik] times a diagonal in k, so the thin QR M = Q R
-    # gives U = (I_N kron Q) S, and by Sylvester's identity
-    # det(I - U V) = det(I - S V (I_N kron Q)), of size N min(ml, mz).
-    # S V = R Y with Y[k,(a,b,j)] = cz_k a_jk v_j (bl_k br_j)[a,b] is
-    # summed over the circle nodes before the projection onto Q: taken
-    # the other way round, S (V Q), or as the plain det(I - V U), the
-    # circle sum, which cancels terms of size |z|^{-n}, costs relative
-    # accuracy at small determinants.
-    q, r = qr(u[:, None] * a, mode="economic", check_finite=False)
-    rank = r.shape[0]
-    p = bl.shape[2]
-    blbr = bl.reshape(z.size * dim, p) @ br.transpose(1, 2, 0).reshape(p, dim * mline)
-    y = blbr.reshape(z.size, dim * dim, mline) * ((cz[:, None] * a.T) * v)[:, None, :]
-    sv = r @ y.reshape(z.size, dim * dim * mline)  # (l, a, b, j)
-    red = (sv.reshape(rank * dim * dim, mline) @ q).reshape(rank, dim, dim, rank)
-    red = red.transpose(1, 0, 2, 3).reshape(dim * rank, dim * rank)
-    sign, logabs = np.linalg.slogdet(np.eye(dim * rank) - red)
+    # Both contour factors are Laurent monomials, Bfac(z)[a, q] =
+    # B_aq z^{e_aq} and Bhat(w)[q, b] = Bhat_qb w^{-e_bq}.  The line
+    # nodes lie outside the loop, so with 1/(lam - z) = sum_alpha
+    # z^alpha lam^{-alpha-1} the loop integral is the residue at z = 0,
+    # a finite sum over the coefficients h_p of e^{2sz - z^2}, and the
+    # Nystrom matrix factors as L Chat R with
+    #     Chat[(a,alpha),(q,beta)] = B_aq h[n - 1 - e_aq - alpha - beta],
+    #     (R L)[(q,beta),(a,alpha)] = Bhat_qa mom[n - 2 - e_aq - alpha - beta],
+    # where mom[k] = sum_j lam_j^k w_j e^{lam_j^2 - 2 s lam_j} / (2 pi i)
+    # are moments on the line; det(I - L Chat R) = det(I - Chat (R L)).
+    bn, bhat, dl, dr = _laurent_data(family.weight, n)
+    e = dl[:, None] - dr[None, :]  # (N, p)
+    size = n - int(e.min())
+    h = _hermite_coeffs(s, size - 1)
+    ab = np.add.outer(np.arange(size), np.arange(size))
+    hidx = n - 1 - e[:, None, :, None] - ab[None, :, None, :]  # (a, alpha, q, beta)
+    chat = bn[:, None, :, None] * np.where(hidx >= 0, h[hidx.clip(0)], 0.0)
+    midx = n - 2 - e.T[:, None, :, None] - ab[None, :, None, :]  # (q, beta, a, alpha)
+    kmin = int(midx.min())
+    t = wl * np.exp(lam * lam - 2.0 * s * lam) / (2j * np.pi)
+    mom = lam[None, :] ** np.arange(kmin, int(midx.max()) + 1)[:, None] @ t
+    rl = bhat[:, None, :, None] * mom[midx - kmin]
+    rows = dim * size
+    red = chat.reshape(rows, -1) @ rl.reshape(-1, rows)
+    sign, logabs = np.linalg.slogdet(np.eye(rows) - red)
     det = sign * np.exp(logabs)
     if abs(det.imag) > _IMAG_TOL * (1.0 + abs(det.real)):
         raise ValueError("determinant has non-negligible imaginary part")

@@ -53,32 +53,44 @@ def _ratio_power(ratio: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _hermite_coeffs(x: float, deg: int) -> np.ndarray:
+    """Taylor coefficients h_0..h_deg of e^{2xz - z^2} in z, that is
+    H_p(x)/p!, by h_p = (2x h_{p-1} - 2 h_{p-2}) / p."""
+    h = np.zeros(deg + 1)
+    h[0] = 1.0
+    if deg >= 1:
+        h[1] = 2.0 * x
+    for p in range(2, deg + 1):
+        h[p] = (2.0 * x * h[p - 1] - 2.0 * h[p - 2]) / p
+    return h
+
+
+def _laurent_data(fam: WeightFamily, n: int):
+    """Laurent data (B, Bhat, dl, dr) of the two contour factors:
+    bleft(z)[a, q] = B_aq z^{dl_a - dr_q} and
+    bright(w)[q, b] = Bhat_qb w^{dr_q - dl_b}.  The scalar family has
+    the trivial factors B = Bhat = [[1]] with exponents 0."""
+    if fam.kind == "scalar":
+        one, zero = np.ones((1, 1)), np.zeros(1, dtype=int)
+        return one, one, zero, zero
+    consts = family_constants(fam, n)
+    if fam.kind == "a":
+        return consts["B"], consts["Bhat"], fam.jexp, fam.jexp
+    return consts["B"], consts["Bhat"], 2 * fam.jexp, np.arange(2, -1, -1)
+
+
 def contour_factors(fam: WeightFamily, n: int):
     """The two matrix-valued contour factors of the double-integral
     kernel: left factor of z (N x p) and right factor of w (p x N).
     Both take a scalar or a whole node array (k,), giving (k, N, p)
     and (k, p, N) stacks."""
-    consts = family_constants(fam, n)
-    if fam.kind == "a":
-        j = fam.jexp
-        bn, bninv = consts["B"], consts["Bhat"]
+    bn, bhat, dl, dr = _laurent_data(fam, n)
 
-        def bleft(z):
-            return power_conjugate(j, bn, z)
+    def bleft(z):
+        return power_conjugate(dl, bn, z, dr)
 
-        def bright(w):
-            return power_conjugate(j, bninv, w)
-
-    else:
-        j2 = 2 * fam.jexp
-        j3 = np.arange(2, -1, -1)
-        bn, bhat = consts["B"], consts["Bhat"]
-
-        def bleft(z):
-            return power_conjugate(j2, bn, z, j3)
-
-        def bright(w):
-            return power_conjugate(j3, bhat, w, j2)
+    def bright(w):
+        return power_conjugate(dr, bhat, w, dl)
 
     return bleft, bright
 
@@ -168,22 +180,19 @@ def cd_double_integral(
     return pref * acc
 
 
-def intrep_loop(
-    family: MOPFamily, n: int, x: float, circle: QuadRule | None = None
-) -> np.ndarray:
+def intrep_loop(family: MOPFamily, n: int, x: float) -> np.ndarray:
     """P_n(x) T(x) via the loop integral with the closed-form constant:
     contour integral of z^{-J} C_n z^{J} e^{-z^2+2zx} dz / z^{n+1}
-    (2J for the quadratic family)."""
+    (2J for the quadratic family), taken by residues at z = 0 as
+    2 pi i C_ab h_{n + J_a - J_b} with the coefficients h of
+    e^{2xz - z^2} (zero for a negative index)."""
     fam = family.weight
     consts = family_constants(fam, n)
     scale = 1 if fam.kind == "a" else 2
     j = scale * fam.jexp
-    if circle is None:
-        circle = circle_rule(1.0)
-    z, wz = circle.nodes, circle.weights
-    conj = power_conjugate(-j, consts["C"], z)
-    fz = wz * np.exp(-z * z + 2.0 * z * x) / _ratio_power(z, n + 1)
-    return np.einsum("z,zab->ab", fz, conj)
+    idx = n + j[:, None] - j[None, :]
+    h = _hermite_coeffs(x, int(idx.max()))
+    return 2j * np.pi * consts["C"] * np.where(idx >= 0, h[idx.clip(0)], 0.0)
 
 
 def intrep_line(

@@ -44,6 +44,17 @@ def test_bad_contour_config_is_usage_error(capsys):
     assert "contours intersect ordering" in err
 
 
+def test_fredholm_scan_radius_only_checks_ordering(capsys):
+    # the loop integral is taken by residues: the radius must clear the
+    # line, but does not change the output
+    outs = []
+    for radius in ("0.3", "0.6"):
+        argv = ["fredholm-scan", "--family", "a", "--n", "3", "--s-min", "-2", "--s-max", "2", "--s-steps", "5"]
+        assert main(argv + ["--radius", radius, "--line-re", "1.0"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_unknown_family_is_usage_error():
     assert main(["verify", "--family", "q"]) == EXIT_USAGE
 

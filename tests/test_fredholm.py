@@ -206,6 +206,36 @@ def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
             assert abs(math.log(det) - math.log(fine)) <= 1e-10
 
 
+def test_contour_det_independent_of_circle(fam_a, fam_b, fam_scalar):
+    # the loop integral is taken by residues at z = 0, so the circle only
+    # certifies the pole structure and cannot move a single bit
+    for family in (fam_scalar, fam_a, fam_b):
+        for n, s in ((2, -2.0), (4, 0.5)):
+            ref = contour_det(family, n, s)
+            for circle in (circle_rule(0.1), circle_rule(0.25), circle_rule(0.45, m=16)):
+                assert contour_det(family, n, s, circle=circle) == ref
+
+
+def test_contour_det_residue_size(monkeypatch, fam_a, fam_b, fam_scalar):
+    # N (n - min e) rows, e the exponents of the left contour factor:
+    # n (scalar, e = 0), 2 (n + 1) (kind a, e >= -1), 2 (n + 2) (kind b,
+    # e >= -2)
+    shapes = []
+    slogdet = np.linalg.slogdet
+
+    def recording_slogdet(mat):
+        shapes.append(mat.shape)
+        return slogdet(mat)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    for family, spread in ((fam_scalar, 0), (fam_a, 1), (fam_b, 2)):
+        for n in range(1, 6):
+            rows = family.dim * (n + spread)
+            shapes.clear()
+            contour_det(family, n, 0.5)
+            assert shapes == [(rows, rows)]
+
+
 def test_contour_det_far_right_tail(fam_b):
     assert contour_det(fam_b, 2, 8.0) == pytest.approx(1.0, abs=1e-6)
 
@@ -230,3 +260,10 @@ def test_contour_det_budget(fam_a):
 def test_contour_det_ordering_guard(fam_a):
     with pytest.raises(ValueError, match="contours intersect ordering"):
         contour_det(fam_a, 2, 0.0, circle=circle_rule(3.0), line=vline_rule(2.0))
+
+
+def test_contour_det_line_must_pass_right_of_origin(fam_scalar):
+    # without a circle the residue at z = 0 needs a line with Re > 0
+    with pytest.raises(ValueError, match="contours intersect ordering"):
+        contour_det(fam_scalar, 2, 0.0, line=vline_rule(-0.5))
+    assert contour_det(fam_scalar, 2, 0.0, line=vline_rule(0.2)) == pytest.approx(gram_det(fam_scalar, 2, 0.0), abs=1e-10)

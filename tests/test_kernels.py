@@ -3,12 +3,14 @@ single-contour integral representations of the polynomials."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ncpiv.families import WeightFamily, build_family
 from ncpiv.kernels import (
     KernelSpec,
+    _hermite_coeffs,
     _ratio_power,
     cd_double_integral,
     cd_sum,
@@ -40,6 +42,17 @@ def test_ratio_power_matches_direct():
     z = np.array([0.3 + 0.4j, -1.2 + 0.1j])
     for n in (0, 1, 5, 13):
         assert np.max(np.abs(_ratio_power(z, n) - z**n)) < 1e-12 * np.max(np.abs(z) ** n + 1)
+
+
+def test_hermite_coeffs_match_mpmath():
+    # Taylor coefficients of e^{2xz - z^2} are H_p(x) / p!
+    with mp.workdps(30):
+        for x in (-3.0, -1.4, 0.0, 0.7, 3.0):
+            h = _hermite_coeffs(x, 12)
+            assert h.shape == (13,)
+            for p in range(13):
+                ref = float(mp.hermite(p, x) / mp.factorial(p))
+                assert abs(h[p] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_cd_sum_empty(fam_a):
