@@ -26,10 +26,8 @@ from .quadrature import QuadRule, gauss_hermite
 __all__ = [
     "WeightFamily",
     "MOPFamily",
-    "weight_eval",
     "tfactor",
     "build_family",
-    "phi",
     "phi_all",
     "phi_deriv",
     "phi_deriv2_all",
@@ -138,14 +136,6 @@ def _tfactor_deriv2(fam: WeightFamily, x) -> np.ndarray:
     return 2.0 * np.einsum("ab,...bc->...ac", shift, t) + 4.0 * x2 * np.einsum(
         "ab,...bc->...ac", shift @ shift, t
     )
-
-
-def weight_eval(fam: WeightFamily, x) -> np.ndarray:
-    """The weight matrix e^{-x^2} T(x) T(x)^T (symmetric positive definite)."""
-    x = np.asarray(x, dtype=float)
-    t = tfactor(fam, x)
-    w = np.einsum("...ab,...cb->...ac", t, t)
-    return np.exp(-x * x)[..., None, None] * w
 
 
 def _normalizer(fam: WeightFamily, n: int) -> np.ndarray:
@@ -361,13 +351,6 @@ def phi_all(family: MOPFamily, x, upto: int) -> np.ndarray:
         lead = family.inv_sqrt_norms[k] @ family.normalizers[k]
         out.append(env * np.einsum("ab,...bc,...cd->...ad", lead, p[k], t))
     return np.stack(out)
-
-
-def phi(family: MOPFamily, n: int, x) -> np.ndarray:
-    """Orthonormal function Phi_n at x."""
-    if n > family.nmax:
-        raise ValueError("degree out of range")
-    return phi_all(family, x, n + 1)[n]
 
 
 def phi_deriv(family: MOPFamily, n: int, x) -> np.ndarray:

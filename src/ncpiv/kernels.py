@@ -145,8 +145,8 @@ def cd_sum(family: MOPFamily, n: int, x: float, y: float) -> np.ndarray:
 
 def cd_double_integral(
     spec: KernelSpec,
-    x: float,
-    y: float,
+    x: float | np.ndarray,
+    y: float | np.ndarray,
     circle: QuadRule | None = None,
     line: QuadRule | None = None,
 ) -> np.ndarray:
@@ -155,10 +155,21 @@ def cd_double_integral(
     Prefactor 2/(2 pi i)^2 e^{(x^2-y^2)/2} times the integral of
     bleft(z) bright(w) (w/z)^n e^{w^2-2xw-z^2+2zy}/(w-z) over the circle
     (z) and the vertical line (w).
+
+    x and y are scalars, giving one (N, N) kernel value, or two 1-D
+    arrays of equal length k, giving the (k, N, N) values at the point
+    pairs (x_i, y_i).  The contour factors and the (x, y)-free core are
+    built once per call, so a whole grid costs two contractions.
     """
     n = spec.n
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    scalar = xs.ndim == 0 and ys.ndim == 0
+    if not scalar and (xs.ndim != 1 or xs.shape != ys.shape):
+        raise ValueError("x and y must be scalars or 1-D arrays of equal length")
+    xs, ys = np.atleast_1d(xs), np.atleast_1d(ys)
     if circle is None:
         circle = circle_rule(1.0)
     if line is None:
@@ -168,16 +179,28 @@ def cd_double_integral(
 
     z, wz = circle.nodes, circle.weights
     w, ww = line.nodes, line.weights
-    bl = np.stack([np.asarray(bleft(zi), dtype=complex) for zi in z])  # (mz,N,p)
-    br = np.stack([np.asarray(bright(wi), dtype=complex) for wi in w])  # (mw,p,N)
+    if spec.form == "generic":
+        # user factors may accept scalars only
+        bl = np.stack([np.asarray(bleft(zi), dtype=complex) for zi in z])
+        br = np.stack([np.asarray(bright(wi), dtype=complex) for wi in w])
+    else:
+        bl = np.asarray(bleft(z), dtype=complex)  # (mz,N,p)
+        br = np.asarray(bright(w), dtype=complex)  # (mw,p,N)
+    mz, dim, p = bl.shape
+    mw = w.shape[0]
+    k = xs.shape[0]
 
-    fz = wz * np.exp(-z * z + 2.0 * z * y)  # (mz,)
-    fw = ww * np.exp(w * w - 2.0 * x * w)  # (mw,)
-    ratio_n = _ratio_power(w[None, :] / z[:, None], n)  # (mz,mw)
-    core = fz[:, None] * fw[None, :] * ratio_n / (w[None, :] - z[:, None])
-    acc = np.einsum("zw,zap,wpb->ab", core, bl, br, optimize=True)
-    pref = 2.0 / (2j * np.pi) ** 2 * np.exp((x * x - y * y) / 2.0)
-    return pref * acc
+    # (w/z)^n = w^n z^{-n} splits into the node factors, so the core
+    # shared by every point is the Cauchy matrix 1/(w - z)
+    core = 1.0 / (w[None, :] - z[:, None])  # (mz,mw)
+    fz = wz * _ratio_power(1.0 / z, n) * np.exp(-z * z + 2.0 * z * ys[:, None])  # (k,mz)
+    fw = ww * _ratio_power(w, n) * np.exp(w * w - 2.0 * xs[:, None] * w)  # (k,mw)
+    left = (fz[:, None, None, :] * bl.transpose(1, 2, 0)).reshape(k * dim * p, mz) @ core
+    left = left.reshape(k, dim, p, mw) * fw[:, None, None, :]
+    acc = left.reshape(k * dim, p * mw) @ br.transpose(1, 0, 2).reshape(p * mw, dim)
+    pref = 2.0 / (2j * np.pi) ** 2 * np.exp((xs * xs - ys * ys) / 2.0)
+    out = pref[:, None, None] * acc.reshape(k, dim, dim)
+    return out[0] if scalar else out
 
 
 def intrep_loop(family: MOPFamily, n: int, x: float) -> np.ndarray:
@@ -249,16 +272,15 @@ def reproducing_residual(
 def generic_kernel_deviation(
     spec: KernelSpec,
     family: MOPFamily,
-    grid: np.ndarray,
+    grid,
     circle: QuadRule | None = None,
     line: QuadRule | None = None,
 ) -> float:
     """Max deviation of the double-integral kernel with the supplied
     contour factors from the partial-sum kernel over a grid of (x, y)
-    points; harness for candidate factor constructions."""
-    worst = 0.0
-    for x, y in grid:
-        ksum = cd_sum(family, spec.n, x, y)
-        kint = cd_double_integral(spec, x, y, circle=circle, line=line)
-        worst = max(worst, float(np.max(np.abs(kint - ksum))))
-    return worst
+    points; harness for candidate factor constructions.  The whole grid
+    goes through one call of cd_double_integral."""
+    pts = np.asarray(grid, dtype=float).reshape(-1, 2)
+    kint = cd_double_integral(spec, pts[:, 0], pts[:, 1], circle=circle, line=line)
+    ksum = np.array([cd_sum(family, spec.n, x, y) for x, y in pts])
+    return float(np.max(np.abs(kint - ksum)))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "elementary",
     "nilpotent_shift",
     "exponent_diag",
     "nilpotent_exp",
@@ -21,13 +20,6 @@ __all__ = [
 
 _NILPOTENT_TOL = 1e-12
 _COND_LIMIT = 1e12
-
-
-def elementary(n: int, i: int, j: int) -> np.ndarray:
-    """n x n matrix with a single 1 at (i, j), zero-based indices."""
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
 
 
 def nilpotent_shift(n: int, nu: float) -> np.ndarray:

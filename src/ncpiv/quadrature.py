@@ -17,7 +17,6 @@ __all__ = [
     "compensated_weights",
     "circle_rule",
     "vline_rule",
-    "integrate",
     "tail_integral",
     "lower_tail_integral",
     "lower_tail_rule",
@@ -51,8 +50,17 @@ def gauss_hermite(m: int) -> QuadRule:
     """
     if m < 1:
         raise ValueError("need at least one node")
-    x, w = np.polynomial.hermite.hermgauss(m)
+    x, w = _hermite_rule(m)
     return QuadRule(nodes=x, weights=w, kind="real-line")
+
+
+@lru_cache(maxsize=None)
+def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss-Hermite nodes and weights, computed once; read-only."""
+    x, w = np.polynomial.hermite.hermgauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def compensated_weights(rule: QuadRule) -> np.ndarray:
@@ -99,12 +107,6 @@ def check_contour_ordering(circle: QuadRule, line: QuadRule) -> None:
     L = float(np.min(line.nodes.real))
     if r >= L:
         raise ValueError("contours intersect ordering")
-
-
-def integrate(rule: QuadRule, f) -> np.ndarray | complex:
-    """Sum of weights * f(node); f is evaluated on the node array."""
-    vals = f(rule.nodes)
-    return np.tensordot(rule.weights, np.asarray(vals), axes=(0, 0))
 
 
 @lru_cache(maxsize=None)

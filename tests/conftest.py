@@ -1,14 +1,41 @@
-"""Shared fixtures and the acceptance-summary reporter."""
+"""Shared fixtures, the small oracles the tests build on, and the
+acceptance-summary reporter."""
 
 import numpy as np
 import pytest
 
-from ncpiv.families import WeightFamily, build_family
+from ncpiv.families import WeightFamily, build_family, phi_all, tfactor
 
 # acceptance tests register one verdict line per criterion here; the
 # terminal-summary hook prints them after the run so every criterion
 # gets an explicit pass/fail line in the output
 ACCEPTANCE_LINES: dict[int, str] = {}
+
+
+def integrate(rule, f):
+    """Sum of weights * f(node); f is evaluated on the node array."""
+    return np.tensordot(rule.weights, np.asarray(f(rule.nodes)), axes=(0, 0))
+
+
+def elementary(n, i, j):
+    """n x n matrix with a single 1 at (i, j), zero-based indices."""
+    m = np.zeros((n, n))
+    m[i, j] = 1.0
+    return m
+
+
+def weight_eval(fam, x):
+    """The weight matrix e^{-x^2} T(x) T(x)^T (symmetric positive definite)."""
+    x = np.asarray(x, dtype=float)
+    t = tfactor(fam, x)
+    return np.exp(-x * x)[..., None, None] * np.einsum("...ab,...cb->...ac", t, t)
+
+
+def phi(family, n, x):
+    """Orthonormal function Phi_n at x."""
+    if n > family.nmax:
+        raise ValueError("degree out of range")
+    return phi_all(family, x, n + 1)[n]
 
 
 @pytest.fixture(scope="session")

@@ -96,7 +96,9 @@ def test_criterion_04_integral_representations():
 
 
 def test_criterion_05_kernel_equivalence():
+    start = time.time()
     grid = [(x, y) for x in np.linspace(-2.0, 2.0, 5) for y in np.linspace(-2.0, 2.0, 5)]
+    xs, ys = np.array(grid).T
     worst = 0.0
     for kind in ("a", "b"):
         form = "doubleintA" if kind == "a" else "doubleintB"
@@ -104,12 +106,18 @@ def test_criterion_05_kernel_equivalence():
             family = build(kind, nu, 6)
             for n in range(1, 7):
                 spec = kernels.KernelSpec(family.weight, n, form=form)
-                for x, y in grid:
+                kints = kernels.cd_double_integral(spec, xs, ys)
+                for kint, (x, y) in zip(kints, grid):
                     ksum = kernels.cd_sum(family, n, x, y)
-                    kint = kernels.cd_double_integral(spec, x, y)
                     rel = float(np.max(np.abs(kint - ksum)) / (1.0 + np.max(np.abs(ksum))))
                     worst = max(worst, rel)
-    record(5, "kernel representation equivalence", worst <= 1e-6, f"max rel error {worst:.2e}")
+    elapsed = time.time() - start
+    record(
+        5,
+        "kernel representation equivalence",
+        worst <= 1e-6,
+        f"max rel error {worst:.2e}, {elapsed:.1f}s",
+    )
 
 
 def test_criterion_06_determinant_route_equality():

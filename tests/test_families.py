@@ -7,16 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import phi, weight_eval
 from ncpiv.families import (
     WeightFamily,
     build_family,
     family_constants,
     ode_residual,
-    phi,
     phi_all,
     phi_deriv,
     phi_deriv2_all,
-    weight_eval,
 )
 from ncpiv.quadrature import compensated_weights, gauss_hermite
 

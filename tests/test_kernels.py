@@ -129,6 +129,66 @@ def test_generic_form_with_true_factors(fam_a):
     assert generic_kernel_deviation(spec, fam_a, grid) < 1e-8
 
 
+# verify's kernel-equivalence grid
+VERIFY_GRID = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_cd_double_integral_on_point_arrays(kind, n):
+    family = build_family(WeightFamily(kind=kind, nu=0.7), nmax=5)
+    spec = KernelSpec(family.weight, n, form="doubleintA" if kind == "a" else "doubleintB")
+    xs, ys = np.array(VERIFY_GRID).T
+    got = cd_double_integral(spec, xs, ys)
+    assert got.shape == (6, 2, 2)
+    for row, x, y in zip(got, xs, ys):
+        point = cd_double_integral(spec, x, y)
+        assert point.shape == (2, 2)
+        assert np.max(np.abs(row - point)) <= 1e-12 * (1.0 + np.max(np.abs(point)))
+
+
+def test_cd_double_integral_rejects_mismatched_points():
+    spec = KernelSpec(WeightFamily(kind="a", nu=1.0), 2, form="doubleintA")
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        cd_double_integral(spec, np.zeros(3), np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_kernel_deviation_builds_contour_factors_once(kind, monkeypatch):
+    from ncpiv import kernels
+
+    calls = {"power_conjugate": 0}
+    orig = kernels.power_conjugate
+
+    def counted(*args, **kwargs):
+        calls["power_conjugate"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "power_conjugate", counted)
+    family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=6)
+    spec = KernelSpec(family.weight, 4, form="doubleintA" if kind == "a" else "doubleintB")
+    assert generic_kernel_deviation(spec, family, VERIFY_GRID) < 1e-8
+    assert calls["power_conjugate"] <= 2
+
+
+def test_generic_form_with_scalar_only_factors(fam_b):
+    # user factors that reject node arrays keep the per-node path
+    bleft, bright = contour_factors(fam_b.weight, 3)
+    spec = KernelSpec(
+        fam_b.weight,
+        3,
+        form="generic",
+        bleft=lambda z: bleft(complex(z)),
+        bright=lambda w: bright(complex(w)),
+    )
+    with pytest.raises(TypeError):
+        spec.bleft(np.array([0.5, 0.6]))
+    builtin = KernelSpec(fam_b.weight, 3, form="doubleintB")
+    dev = generic_kernel_deviation(spec, fam_b, VERIFY_GRID)
+    assert dev < 1e-8
+    assert abs(dev - generic_kernel_deviation(builtin, fam_b, VERIFY_GRID)) < 1e-12
+
+
 @pytest.mark.parametrize("kind,nu", [("a", 1.0), ("b", 0.7)])
 def test_integral_representations(kind, nu):
     family = build_family(WeightFamily(kind=kind, nu=nu), nmax=7)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import elementary
 from ncpiv.matcore import (
     anticommutator,
     commutator,
-    elementary,
     exponent_diag,
     nilpotent_exp,
     nilpotent_shift,

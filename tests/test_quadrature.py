@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from ncpiv.families import WeightFamily, build_family, phi
+from conftest import integrate, phi
+from ncpiv.families import WeightFamily, build_family
 from ncpiv.quadrature import (
     check_contour_ordering,
     circle_rule,
     compensated_weights,
     gauss_hermite,
-    integrate,
     tail_integral,
     vline_rule,
 )
@@ -23,6 +23,15 @@ SQRT_PI = math.sqrt(math.pi)
 def test_gauss_hermite_total_mass():
     rule = gauss_hermite(50)
     assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(SQRT_PI, abs=1e-13)
+
+
+def test_gauss_hermite_rule_built_once_and_read_only():
+    rule = gauss_hermite(60)
+    assert rule.nodes is gauss_hermite(60).nodes
+    with pytest.raises(ValueError, match="read-only"):
+        rule.weights[0] = 0.0
+    x, w = np.polynomial.hermite.hermgauss(60)
+    assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
 
 
 def test_gauss_hermite_second_moment():
