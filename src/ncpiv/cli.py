@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +55,14 @@ class RunConfig:
     def validate(self) -> None:
         if self.family not in ("a", "b", "scalar"):
             raise ValueError("family must be a, b or scalar")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name.replace('_', '-')} must be finite")
+        if self.n < 1:
+            raise ValueError("n must be a positive integer")
+        if self.step <= 0:
+            raise ValueError("step must be positive")
         if self.s_min >= self.s_max:
             raise ValueError("s-min must be below s-max")
         if self.s_steps < 2:
@@ -146,9 +156,8 @@ def cmd_verify(config: RunConfig) -> int:
     else:
         rng = np.random.default_rng(config.seed)
         worst = max(
-            float(np.max(np.abs(ode_residual(family, k, float(x)))))
+            float(np.max(np.abs(ode_residual(family, k, rng.uniform(-2, 2, size=5)))))
             for k in range(min(config.n, family.nmax) + 1)
-            for x in rng.uniform(-2, 2, size=5)
         )
         checks.append(("ode-residual", "", worst, 1e-8))
 
@@ -327,21 +336,21 @@ def cmd_airy(config: RunConfig, n_list: list[int]) -> int:
 # argument parsing
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="a", choices=["a", "b", "scalar"])
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--s-min", type=float, default=-3.0)
-    p.add_argument("--s-max", type=float, default=3.0)
-    p.add_argument("--s-steps", type=int, default=61)
-    p.add_argument("--quad-points", type=int, default=200)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--line-re", type=float, default=2.0)
-    p.add_argument("--line-trunc", type=float, default=0.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; every subcommand
+    takes one option per RunConfig field, with the field's default."""
+    parser = argparse.ArgumentParser(prog="ncpiv", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("verify", "fredholm-scan", "painleve", "airy"):
+        p = sub.add_parser(name)
+        for f in fields(RunConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+        if name == "painleve":
+            p.add_argument("--initial", default="", help="JSON file with y, z, zp, u, variant, n")
+        if name == "airy":
+            p.add_argument("--n-list", default="8,16,32,64", help="comma-separated degrees")
+    return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -349,18 +358,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="ncpiv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "fredholm-scan", "painleve", "airy"):
-        p = sub.add_parser(name)
-        _add_config_args(p)
-        if name == "painleve":
-            p.add_argument("--initial", default="", help="JSON file with y, z, zp, u, variant, n")
-        if name == "airy":
-            p.add_argument("--n-list", default="8,16,32,64", help="comma-separated degrees")
-
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     config = _config_from(args)

@@ -105,37 +105,22 @@ def tfactor(fam: WeightFamily, x) -> np.ndarray:
     return out
 
 
-def _tfactor_deriv(fam: WeightFamily, x) -> np.ndarray:
-    """d/dx of T(x)."""
+def _tfactor_jet(fam: WeightFamily, x, order: int) -> list:
+    """T(x) and its x-derivatives up to ``order`` (at most 2), from one
+    build of T: [T, T', T''][: order + 1], each (..., N, N)."""
     x = np.asarray(x, dtype=float)
-    n = fam.dim
-    if fam.kind == "scalar":
-        return np.zeros(x.shape + (1, 1))
-    shift = fam.shift
-    if fam.kind == "a":
-        # T = sum A^k x^k / k!  ->  T' = A T (A commutes with itself)
-        return np.einsum("ab,...bc->...ac", shift, tfactor(fam, x))
-    # kind b: T(x) = e^{B x^2}  ->  T' = 2x B T
-    return 2.0 * x[..., None, None] * np.einsum(
-        "ab,...bc->...ac", shift, tfactor(fam, x)
-    )
-
-
-def _tfactor_deriv2(fam: WeightFamily, x) -> np.ndarray:
-    """d^2/dx^2 of T(x)."""
-    x = np.asarray(x, dtype=float)
-    if fam.kind == "scalar":
-        return np.zeros(x.shape + (1, 1))
-    shift = fam.shift
-    if fam.kind == "a":
-        # T'' = A^2 T
-        return np.einsum("ab,...bc->...ac", shift @ shift, tfactor(fam, x))
-    # kind b: T'' = 2 B T + 4 x^2 B^2 T
     t = tfactor(fam, x)
-    x2 = (x * x)[..., None, None]
-    return 2.0 * np.einsum("ab,...bc->...ac", shift, t) + 4.0 * x2 * np.einsum(
-        "ab,...bc->...ac", shift @ shift, t
-    )
+    if order == 0:
+        return [t]
+    shift = fam.shift
+    st = np.einsum("ab,...bc->...ac", shift, t)
+    sst = np.einsum("ab,...bc->...ac", shift @ shift, t)
+    if fam.kind == "b":
+        # T = e^{B x^2}  ->  T' = 2x B T, T'' = 2 B T + 4 x^2 B^2 T
+        x2 = (x * x)[..., None, None]
+        return [t, 2.0 * x[..., None, None] * st, 2.0 * st + 4.0 * x2 * sst][: order + 1]
+    # T = e^{A x} (A = 0 for the scalar family)  ->  T' = A T, T'' = A^2 T
+    return [t, st, sst][: order + 1]
 
 
 def _normalizer(fam: WeightFamily, n: int) -> np.ndarray:
@@ -306,92 +291,78 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
     )
 
 
-def _monic_values(family: MOPFamily, x, upto: int, derivs: int = 0):
-    """Values (and optionally derivatives) of all monic polynomials at x
-    via forward recurrence.  Returns list of arrays indexed by degree,
-    each (..., N, N); with derivs=d also returns the d-th derivatives.
+def _monic_values(family: MOPFamily, x, upto: int, derivs: int = 0) -> list:
+    """Monic polynomials P_0..P_{upto-1} at x and their x-derivatives up
+    to order ``derivs``, by the differentiated forward recurrence
+    P^(j)_{k+1} = x P^(j)_k + j P^(j-1)_k - A_k P^(j)_k - B_k P^(j)_{k-1}.
+    Returns jet[j][k], each (..., N, N); only the orders asked for are
+    computed.
     """
     x = np.asarray(x, dtype=float)
     n = family.dim
-    eye = np.broadcast_to(np.eye(n), x.shape + (n, n)).copy()
-    zero = np.zeros(x.shape + (n, n))
-    p = [eye]
-    dp = [zero.copy()]
-    ddp = [zero.copy()]
     xm = x[..., None, None]
+    jet = [[np.broadcast_to(np.eye(n), x.shape + (n, n)).copy()]]
+    jet += [[np.zeros(x.shape + (n, n))] for _ in range(derivs)]
     for k in range(upto - 1):
         al, be = family.alphas[k], family.betas[k]
-        nxt = xm * p[k] - np.einsum("ab,...bc->...ac", al, p[k])
-        dnxt = p[k] + xm * dp[k] - np.einsum("ab,...bc->...ac", al, dp[k])
-        ddnxt = 2.0 * dp[k] + xm * ddp[k] - np.einsum("ab,...bc->...ac", al, ddp[k])
-        if k > 0:
-            nxt = nxt - np.einsum("ab,...bc->...ac", be, p[k - 1])
-            dnxt = dnxt - np.einsum("ab,...bc->...ac", be, dp[k - 1])
-            ddnxt = ddnxt - np.einsum("ab,...bc->...ac", be, ddp[k - 1])
-        p.append(nxt)
-        dp.append(dnxt)
-        ddp.append(ddnxt)
-    if derivs == 0:
-        return p
-    if derivs == 1:
-        return p, dp
-    return p, dp, ddp
+        for j, p in enumerate(jet):
+            nxt = xm * p[k]
+            if j:
+                nxt = j * jet[j - 1][k] + nxt
+            nxt = nxt - np.einsum("ab,...bc->...ac", al, p[k])
+            if k > 0:
+                nxt = nxt - np.einsum("ab,...bc->...ac", be, p[k - 1])
+            p.append(nxt)
+    return jet
+
+
+def _phi_jet(family: MOPFamily, x, upto: int, order: int) -> list:
+    """Orthonormal functions Phi_0..Phi_{upto-1} at x and their
+    x-derivatives up to ``order`` (at most 2), from one recurrence pass:
+    [Phi, Phi', Phi''][: order + 1], each stack (upto, ..., N, N).  With
+    Phi = e^{-x^2/2} L P T, Phi' = e^{-x^2/2} L (-x P T + (P T)') and
+    Phi'' = e^{-x^2/2} L ((x^2 - 1) P T - 2x (P T)' + (P T)'')."""
+    if upto > family.nmax + 1:
+        raise ValueError("degree out of range")
+    x = np.asarray(x, dtype=float)
+    p = _monic_values(family, x, upto, derivs=order)
+    t = _tfactor_jet(family.weight, x, order)
+    xm = x[..., None, None]
+    env = np.exp(-0.5 * x * x)[..., None, None]
+    out = [[] for _ in range(order + 1)]
+    for k in range(upto):
+        lead = family.inv_sqrt_norms[k] @ family.normalizers[k]
+        pk = [pj[k] for pj in p]
+        out[0].append(env * np.einsum("ab,...bc,...cd->...ad", lead, pk[0], t[0]))
+        if order >= 1:
+            inner = (
+                -xm * np.einsum("...ab,...bc->...ac", pk[0], t[0])
+                + np.einsum("...ab,...bc->...ac", pk[1], t[0])
+                + np.einsum("...ab,...bc->...ac", pk[0], t[1])
+            )
+            out[1].append(env * np.einsum("ab,...bc->...ac", lead, inner))
+        if order >= 2:
+            q = pk[0] @ t[0]
+            dq = pk[1] @ t[0] + pk[0] @ t[1]
+            ddq = pk[2] @ t[0] + 2.0 * (pk[1] @ t[1]) + pk[0] @ t[2]
+            out[2].append(env * (lead @ ((xm * xm - 1.0) * q - 2.0 * xm * dq + ddq)))
+    return [np.stack(stack) for stack in out]
 
 
 def phi_all(family: MOPFamily, x, upto: int) -> np.ndarray:
     """Orthonormal functions Phi_0..Phi_{upto-1} at x: (upto, ..., N, N)."""
-    if upto > family.nmax + 1:
-        raise ValueError("degree out of range")
-    x = np.asarray(x, dtype=float)
-    p = _monic_values(family, x, upto)
-    t = tfactor(family.weight, x)
-    env = np.exp(-0.5 * x * x)[..., None, None]
-    out = []
-    for k in range(upto):
-        lead = family.inv_sqrt_norms[k] @ family.normalizers[k]
-        out.append(env * np.einsum("ab,...bc,...cd->...ad", lead, p[k], t))
-    return np.stack(out)
+    return _phi_jet(family, x, upto, 0)[0]
 
 
 def phi_deriv(family: MOPFamily, n: int, x) -> np.ndarray:
     """Analytic x-derivative of Phi_n."""
-    if n > family.nmax:
-        raise ValueError("degree out of range")
-    x = np.asarray(x, dtype=float)
-    p, dp = _monic_values(family, x, n + 1, derivs=1)
-    t = tfactor(family.weight, x)
-    dt = _tfactor_deriv(family.weight, x)
-    env = np.exp(-0.5 * x * x)[..., None, None]
-    lead = family.inv_sqrt_norms[n] @ family.normalizers[n]
-    inner = (
-        -x[..., None, None] * np.einsum("...ab,...bc->...ac", p[n], t)
-        + np.einsum("...ab,...bc->...ac", dp[n], t)
-        + np.einsum("...ab,...bc->...ac", p[n], dt)
-    )
-    return env * np.einsum("ab,...bc->...ac", lead, inner)
+    return _phi_jet(family, x, n + 1, 1)[1][n]
 
 
 def phi_deriv2_all(family: MOPFamily, x, upto: int) -> np.ndarray:
     """Analytic second x-derivatives of Phi_0..Phi_{upto-1} at x:
-    (upto, ..., N, N).  With Phi = e^{-x^2/2} L P T this is
-    e^{-x^2/2} L ((x^2 - 1) P T - 2x (P T)' + (P T)'')."""
-    if upto > family.nmax + 1:
-        raise ValueError("degree out of range")
-    x = np.asarray(x, dtype=float)
-    p, dp, ddp = _monic_values(family, x, upto, derivs=2)
-    t = tfactor(family.weight, x)
-    dt = _tfactor_deriv(family.weight, x)
-    ddt = _tfactor_deriv2(family.weight, x)
-    xm = x[..., None, None]
-    env = np.exp(-0.5 * x * x)[..., None, None]
-    out = []
-    for k in range(upto):
-        q = p[k] @ t
-        dq = dp[k] @ t + p[k] @ dt
-        ddq = ddp[k] @ t + 2.0 * (dp[k] @ dt) + p[k] @ ddt
-        lead = family.inv_sqrt_norms[k] @ family.normalizers[k]
-        out.append(env * (lead @ ((xm * xm - 1.0) * q - 2.0 * xm * dq + ddq)))
-    return np.stack(out)
+    (upto, ..., N, N)."""
+    return _phi_jet(family, x, upto, 2)[2]
 
 
 def _ode_coefficients(fam: WeightFamily, n: int):
@@ -414,15 +385,17 @@ def _ode_coefficients(fam: WeightFamily, n: int):
     return eye, (f1_const, f1_lin), f0, gam
 
 
-def ode_residual(family: MOPFamily, n: int, x: float) -> np.ndarray:
+def ode_residual(family: MOPFamily, n: int, x) -> np.ndarray:
     """Residual P'' F2 + P' F1 + P F0 - Gamma_n P of the normalized
-    polynomial; vanishes identically for both matrix families."""
-    fam = family.weight
-    p, dp, ddp = _monic_values(family, np.asarray(float(x)), n + 1, derivs=2)
+    polynomial; vanishes identically for both matrix families.  A scalar
+    x gives one (N, N) residual, an array x the (..., N, N) residuals at
+    its points."""
+    x = np.asarray(x, dtype=float)
+    p, dp, ddp = _monic_values(family, x, n + 1, derivs=2)
     ln = family.normalizers[n]
     pn, dpn, ddpn = ln @ p[n], ln @ dp[n], ln @ ddp[n]
-    f2, (f1c, f1l), f0, gam = _ode_coefficients(fam, n)
-    f1 = f1c + x * f1l
+    f2, (f1c, f1l), f0, gam = _ode_coefficients(family.weight, n)
+    f1 = f1c + x[..., None, None] * f1l
     return ddpn @ f2 + dpn @ f1 + pn @ f0 - gam @ pn
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .families import MOPFamily, phi_all, phi_deriv, phi_deriv2_all
+from .families import MOPFamily, _phi_jet, phi_all
 from .kernels import _hermite_coeffs, _laurent_data
 from scipy.linalg import solve_triangular
 
@@ -75,9 +75,7 @@ def build_gram(family: MOPFamily, n: int, s: float) -> GramSystem:
     f = f.reshape(rule.nodes.size * dim, n * dim)
     c = np.linalg.qr(f, mode="r")
 
-    ps = phi_all(family, np.asarray(float(s)), n)  # (n, N, N)
-    dps = np.stack([phi_deriv(family, k, np.asarray(float(s))) for k in range(n)])
-    ddps = phi_deriv2_all(family, np.asarray(float(s)), n)
+    ps, dps, ddps = _phi_jet(family, float(s), n, 2)  # each (n, N, N)
     b = np.einsum("jab,kcb->jakc", ps, ps).reshape(n * dim, n * dim)
     bp = (
         np.einsum("jab,kcb->jakc", dps, ps) + np.einsum("jab,kcb->jakc", ps, dps)

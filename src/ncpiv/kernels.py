@@ -131,16 +131,32 @@ class KernelSpec:
         return contour_factors(self.family, self.n)
 
 
-def cd_sum(family: MOPFamily, n: int, x: float, y: float) -> np.ndarray:
-    """Partial-sum kernel sum_{k<n} Phi_k^T(y) Phi_k(x)."""
+def _point_pairs(x, y):
+    """x and y as float arrays, checked to be two scalars or two 1-D
+    arrays of equal length; also whether they were scalars."""
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    scalar = xs.ndim == 0 and ys.ndim == 0
+    if not scalar and (xs.ndim != 1 or xs.shape != ys.shape):
+        raise ValueError("x and y must be scalars or 1-D arrays of equal length")
+    return xs, ys, scalar
+
+
+def cd_sum(family: MOPFamily, n: int, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
+    """Partial-sum kernel sum_{k<n} Phi_k^T(y) Phi_k(x).
+
+    x and y are scalars, giving one (N, N) kernel value, or two 1-D
+    arrays of equal length k, giving the (k, N, N) values at the point
+    pairs (x_i, y_i).
+    """
     if n > family.nmax + 1:
         raise ValueError("degree out of range")
-    dim = family.dim
+    xs, ys, _ = _point_pairs(x, y)
     if n == 0:
-        return np.zeros((dim, dim))
-    px = phi_all(family, np.asarray(float(x)), n)
-    py = phi_all(family, np.asarray(float(y)), n)
-    return np.einsum("kba,kbc->ac", py, px)
+        return np.zeros(xs.shape + (family.dim, family.dim))
+    px = phi_all(family, xs, n)
+    py = phi_all(family, ys, n)
+    return np.einsum("k...ba,k...bc->...ac", py, px)
 
 
 def cd_double_integral(
@@ -164,11 +180,7 @@ def cd_double_integral(
     n = spec.n
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    scalar = xs.ndim == 0 and ys.ndim == 0
-    if not scalar and (xs.ndim != 1 or xs.shape != ys.shape):
-        raise ValueError("x and y must be scalars or 1-D arrays of equal length")
+    xs, ys, scalar = _point_pairs(x, y)
     xs, ys = np.atleast_1d(xs), np.atleast_1d(ys)
     if circle is None:
         circle = circle_rule(1.0)
@@ -238,7 +250,7 @@ def intrep_line(
 def polynomial_times_tfactor(family: MOPFamily, n: int, x: float) -> np.ndarray:
     """Direct evaluation of P_n(x) T(x), the quantity both integral
     representations reproduce."""
-    p = _monic_values(family, np.asarray(float(x)), n + 1)[n]
+    p = _monic_values(family, np.asarray(float(x)), n + 1)[0][n]
     t = tfactor(family.weight, np.asarray(float(x)))
     return family.normalizers[n] @ p @ t
 
@@ -279,8 +291,8 @@ def generic_kernel_deviation(
     """Max deviation of the double-integral kernel with the supplied
     contour factors from the partial-sum kernel over a grid of (x, y)
     points; harness for candidate factor constructions.  The whole grid
-    goes through one call of cd_double_integral."""
+    goes through one call of each kernel form."""
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
     kint = cd_double_integral(spec, pts[:, 0], pts[:, 1], circle=circle, line=line)
-    ksum = np.array([cd_sum(family, spec.n, x, y) for x, y in pts])
+    ksum = cd_sum(family, spec.n, pts[:, 0], pts[:, 1])
     return float(np.max(np.abs(kint - ksum)))

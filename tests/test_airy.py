@@ -102,5 +102,6 @@ def test_scaling_limit_budget():
 
 def test_scaling_limit_rejects_points_outside_box():
     family = build_family(WeightFamily(kind="scalar"), nmax=8)
-    with pytest.raises(ValueError, match="outside the supported box"):
-        scaling_limit_error(family, 8, [(3.0, 0.0)])
+    for grid in ([(3.0, 0.0)], [(0.0, 0.5), (0.5, -2.5)], [(float("nan"), 0.0)]):
+        with pytest.raises(ValueError, match="outside the supported box"):
+            scaling_limit_error(family, 8, grid)

@@ -335,23 +335,19 @@ def test_airy_bad_degree_is_usage_error():
     assert main(["airy", "--n-list", "9"]) == EXIT_USAGE
 
 
-def test_determinism_byte_identical(tmp_path, monkeypatch):
-    args = [
-        "painleve",
-        "--family",
-        "a",
-        "--n",
-        "1",
-        "--seed",
-        "7",
-        "--s-min",
-        "0",
-        "--s-max",
-        "0.3",
-        "--step",
-        "0.005",
-    ]
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["painleve", "--family", "a", "--n", "1", "--seed", "7", "--s-min", "0", "--s-max", "0.3", "--step", "0.005"],
+        ["fredholm-scan", "--family", "b", "--nu", "0.7", "--n", "3", "--s-min", "-1", "--s-max", "1", "--s-steps", "9"],
+        ["airy", "--family", "a", "--n-list", "8,16,32"],
+    ],
+    ids=["painleve", "fredholm-scan", "airy"],
+)
+def test_determinism_byte_identical(args, tmp_path, monkeypatch):
+    # the scan and airy rows run on the NCPIV_THREADS pool
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.setenv("NCPIV_THREADS", "1")
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     monkeypatch.setenv("NCPIV_THREADS", "4")
     assert main(args + ["--out", str(out2)]) == EXIT_OK
@@ -365,6 +361,18 @@ def test_runconfig_validation():
         RunConfig(s_steps=1).validate()
     with pytest.raises(ValueError, match="format"):
         RunConfig(format="xml").validate()
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            RunConfig(n=n).validate()
+    for name, option in (("nu", "nu"), ("s_min", "s-min"), ("s_max", "s-max"), ("line_trunc", "line-trunc"), ("step", "step")):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{option} must be finite$"):
+                RunConfig(**{name: bad}).validate()
+    for step in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="step must be positive"):
+            RunConfig(step=step).validate()
+    assert main(["fredholm-scan", "--n", "0"]) == EXIT_USAGE
+    assert main(["fredholm-scan", "--nu", "nan"]) == EXIT_USAGE
 
 
 def test_json_output(tmp_path):

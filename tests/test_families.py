@@ -138,6 +138,16 @@ def test_ode_residual(kind, rng):
             assert np.max(np.abs(ode_residual(family, n, float(x)))) < 1e-8
 
 
+@pytest.mark.parametrize("kind", ["a", "b", "scalar"])
+def test_ode_residual_on_x_arrays(kind, rng):
+    family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=6)
+    xs = rng.uniform(-2.0, 2.0, size=5)
+    for n in (0, 1, 4, 6):
+        got = ode_residual(family, n, xs)
+        assert got.shape == (5, family.dim, family.dim)
+        assert np.array_equal(got, np.stack([ode_residual(family, n, float(x)) for x in xs]))
+
+
 def test_ode_residual_n0_exact(fam_a):
     assert np.max(np.abs(ode_residual(fam_a, 0, 0.7))) < 1e-14
 

@@ -64,6 +64,23 @@ def test_gram_derivative_is_minus_b(fam_a):
         assert np.max(np.abs(fd + sys0.B)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_build_gram_runs_one_recurrence_at_s(n, fam_a, monkeypatch):
+    # one pass over the lower-tail nodes, one jet (Phi, Phi', Phi'') at s
+    from ncpiv import families
+
+    calls = []
+    orig = families._monic_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(families, "_monic_values", counted)
+    build_gram(fam_a, n, 0.4)
+    assert len(calls) == 2
+
+
 def test_log_deriv_scalar_erf_closed_form(fam_scalar):
     for s in (-1.0, 0.0, 1.2):
         r = log_deriv(fam_scalar, 1, s, order=1)

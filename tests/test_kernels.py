@@ -153,6 +153,28 @@ def test_cd_double_integral_rejects_mismatched_points():
         cd_double_integral(spec, np.zeros(3), np.zeros(2))
 
 
+@pytest.mark.parametrize("kind", ["a", "b", "scalar"])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_cd_sum_on_point_arrays(kind, n):
+    family = build_family(WeightFamily(kind=kind, nu=0.7), nmax=5)
+    dim = family.dim
+    xs, ys = np.array(VERIFY_GRID).T
+    got = cd_sum(family, n, xs, ys)
+    assert got.shape == (6, dim, dim)
+    for row, x, y in zip(got, xs, ys):
+        point = cd_sum(family, n, x, y)
+        assert point.shape == (dim, dim)
+        if kind == "scalar":
+            # a 1x1 sum over k is taken in another order on arrays
+            assert np.max(np.abs(row - point)) <= 1e-15 * (1.0 + np.max(np.abs(point)))
+        else:
+            assert np.array_equal(row, point)
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        cd_sum(family, n, xs, ys[:-1])
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        cd_sum(family, n, xs, 0.5)
+
+
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_kernel_deviation_builds_contour_factors_once(kind, monkeypatch):
     from ncpiv import kernels
