@@ -63,6 +63,10 @@ class RunConfig:
             raise ValueError("n must be a positive integer")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.quad_points < 200:
+            raise ValueError("quad-points must be at least 200")
         if self.s_min >= self.s_max:
             raise ValueError("s-min must be below s-max")
         if self.s_steps < 2:
@@ -130,7 +134,7 @@ def _rules(config: RunConfig):
 
 def cmd_verify(config: RunConfig) -> int:
     fam = _weight(config)
-    family = build_family(fam, max(config.n, 6), quad=gauss_hermite(max(config.quad_points, 200)))
+    family = build_family(fam, max(config.n, 6), quad=gauss_hermite(config.quad_points))
     checks: list[tuple[str, str, float | None, float]] = []
 
     # orthonormality of the Phi functions
@@ -280,25 +284,27 @@ def cmd_painleve(config: RunConfig, initial: str = "") -> int:
     status = ""
     try:
         traj = painleve.integrate(state, config.s_max, config.step)
-        states = traj.states
     except ValueError as exc:
-        states = []
         status = str(exc)
-    for st in states:
-        ncr = float(np.max(np.abs(painleve.ncpiv_residual(st))))
-        lax = float(np.max(np.abs(painleve.lax_compat_residual(st, 1.3))))
-        rows.append(
-            {
-                "s": st.s,
-                "u00": st.u[0, 0],
-                "u01": st.u[0, 1],
-                "u10": st.u[1, 0],
-                "u11": st.u[1, 1],
-                "ncpiv_residual_norm": ncr,
-                "lax_residual_norm": lax,
-                "flags": "",
-            }
-        )
+    else:
+        # every residual over the whole trajectory in one stacked pass
+        st = traj.stacked
+        derivs = painleve.analytic_derivatives(st)
+        ncr = np.max(np.abs(painleve.ncpiv_residual(st, derivs=derivs)), axis=(-2, -1))
+        lax = np.max(np.abs(painleve.lax_compat_residual(st, 1.3, derivs=derivs)), axis=(-2, -1))
+        for s, u, ncr_s, lax_s in zip(st.s.tolist(), st.u.reshape(-1, 4).tolist(), ncr.tolist(), lax.tolist()):
+            rows.append(
+                {
+                    "s": s,
+                    "u00": u[0],
+                    "u01": u[1],
+                    "u10": u[2],
+                    "u11": u[3],
+                    "ncpiv_residual_norm": ncr_s,
+                    "lax_residual_norm": lax_s,
+                    "flags": "",
+                }
+            )
     if status:
         rows.append({"s": "", "flags": status})
     columns = ["s", "u00", "u01", "u10", "u11", "ncpiv_residual_norm", "lax_residual_norm", "flags"]

@@ -13,8 +13,6 @@ import numpy as np
 
 from .families import MOPFamily, _phi_jet, phi_all
 from .kernels import _hermite_coeffs, _laurent_data
-from scipy.linalg import solve_triangular
-
 from .quadrature import (
     QuadRule,
     check_contour_ordering,
@@ -130,6 +128,10 @@ def _whiten(system: GramSystem, mat: np.ndarray) -> np.ndarray:
     """C^{-T} mat C^{-1}: the matrix seen through the inverse Gram,
     computed by two triangular solves so that the error scales with
     cond(C) = sqrt(cond(H)) rather than cond(H)."""
+    # imported on first use: loading scipy.linalg adds about 28 MB and a
+    # quarter second to the start of every command, and only this needs it
+    from scipy.linalg import solve_triangular
+
     t = solve_triangular(system.C, mat, trans="T", lower=False)
     return solve_triangular(system.C, t.T, trans="T", lower=False).T
 

@@ -2,15 +2,22 @@
 the (y, z, z', u) system and its Lax pair in both variants, the symmetric
 (q, r) formulation, analytic higher-derivative recursions, and the scalar
 Painleve IV reductions.
+
+The evaluators of the coupled system take a single state or a stacked
+one, whose fields carry a leading axis (a whole trajectory, as in
+Trajectory.stacked) and whose s has that leading shape; one formula
+serves both, with matrix products over the last two axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matcore import anticommutator, commutator, right_inverse
+from .matcore import _COND_LIMIT as _GRAM_COND_LIMIT
+from .matcore import anticommutator, commutator
 
 __all__ = [
     "PIVState",
@@ -39,6 +46,11 @@ _COND_LIMIT = 1e10
 
 J2 = np.diag([1.0, 0.0])
 J3 = np.diag([2.0, 1.0, 0.0])
+_I2 = np.eye(2)
+_I3 = np.eye(3)
+# exponent matrix entering the top-left residue block: J2 for the square
+# variant, 2 J2 for the rectangular one
+_JTOP = {"a": J2, "b": 2.0 * J2}
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,7 @@ class PIVState:
 
     y is 2x2 (variant "a") or 2x3 (variant "b"); z, zp (= z'), u are
     2x2.  The closure y' = (u - 2s) y makes the system first order.
+    A stacked state carries a leading axis on every field, s included.
     """
 
     s: float
@@ -61,10 +74,10 @@ class PIVState:
         if self.variant not in ("a", "b"):
             raise ValueError("variant must be 'a' or 'b'")
         cols = 2 if self.variant == "a" else 3
-        if np.shape(self.y) != (2, cols):
+        if np.shape(self.y)[-2:] != (2, cols):
             raise ValueError("y has the wrong shape for the variant")
         for name in ("z", "zp", "u"):
-            if np.shape(getattr(self, name)) != (2, 2):
+            if np.shape(getattr(self, name))[-2:] != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
 
 
@@ -84,26 +97,69 @@ class SymState:
         if self.variant not in ("a", "b"):
             raise ValueError("variant must be 'a' or 'b'")
         cols = 2 if self.variant == "a" else 3
-        if np.shape(self.q) != (2, cols) or np.shape(self.r) != (cols, 2):
+        if np.shape(self.q)[-2:] != (2, cols) or np.shape(self.r)[-2:] != (cols, 2):
             raise ValueError("q/r have the wrong shape for the variant")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: list
+    """The states of a flow, initial one included: `stacked` is one state
+    whose fields are views into the (T, k) array of packed state vectors,
+    with s of shape (T,); `states` lists them one by one."""
+
+    stacked: PIVState | SymState
     global_error_estimate: float | None = None
+
+    @functools.cached_property
+    def states(self) -> list:
+        st = self.stacked
+        arrays = [f.name for f in fields(st) if f.name not in ("s", "variant", "n")]
+        return [
+            replace(st, s=float(s), **{f: getattr(st, f)[i] for f in arrays})
+            for i, s in enumerate(st.s)
+        ]
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a (stack of) matrices."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _col(s):
+    """s broadcast against (stacks of) matrices: a number as it is, an
+    array of abscissae with two trailing unit axes."""
+    return s if isinstance(s, (int, float)) else np.asarray(s)[..., None, None]
+
+
+def _cond2(m: np.ndarray):
+    """2-norm condition number of a 2x2 matrix m, or of each matrix of a
+    stack, in closed form: (F^2 + sqrt(F^4 - 4 det^2)) / (2 |det|), F the
+    Frobenius norm.  With p2 = (a+d)^2 + (b-c)^2 and q2 = (a-d)^2 + (b+c)^2
+    for m = [[a, b], [c, d]], F^2 = (p2 + q2)/2 and F^4 - 4 det^2 = p2 q2,
+    which keeps the root free of cancellation for a near-orthogonal m.
+    Not finite (inf or NaN) where det = 0 or an entry is not finite."""
+    # [()] makes the entries of a single matrix numpy scalars, whose
+    # arithmetic costs a fraction of that of 0-d arrays
+    a, b, c, d = (m[..., i, j][()] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    with np.errstate(all="ignore"):
+        p2 = (a + d) ** 2 + (b - c) ** 2
+        q2 = (a - d) ** 2 + (b + c) ** 2
+        return (0.5 * (p2 + q2) + np.sqrt(p2 * q2)) / (2.0 * np.abs(a * d - b * c))
 
 
 def _yinv(variant: str, y: np.ndarray) -> np.ndarray:
-    """Inverse (variant a) or right inverse (variant b) of y."""
-    try:
-        if variant == "a":
-            if np.linalg.cond(y) > _COND_LIMIT:
-                raise ValueError("y singular")
-            return np.linalg.inv(y)
-        return right_inverse(y)
-    except (np.linalg.LinAlgError, ValueError):
-        raise ValueError("y singular") from None
+    """Inverse (variant a) or right inverse y^T (y y^T)^{-1} (variant b)
+    of y, or of each y of a stack.  Raises "y singular" when any y (for
+    variant b its Gram y y^T) is not finite or has a condition number
+    above the limit."""
+    if variant == "a":
+        gram, limit = y, _COND_LIMIT
+    else:
+        gram, limit = y @ _t(y), _GRAM_COND_LIMIT
+    if not (_cond2(gram) <= limit).all():
+        raise ValueError("y singular")
+    inv = np.linalg.inv(gram)
+    return inv if variant == "a" else _t(y) @ inv
 
 
 def v_term(variant: str, y: np.ndarray) -> np.ndarray:
@@ -115,12 +171,6 @@ def v_term(variant: str, y: np.ndarray) -> np.ndarray:
     return 4.0 * J2 - 2.0 * y @ J3 @ yi
 
 
-def _jtop(variant: str) -> np.ndarray:
-    """Exponent matrix entering the top-left residue block: J2 for the
-    square variant, 2 J2 for the rectangular one."""
-    return J2 if variant == "a" else 2.0 * J2
-
-
 def rhs(state: PIVState):
     """Derivatives (y', z', zp', u') of the coupled system:
     y' = (u - 2s) y,  u' = -u^2 + 2su + 4z - 2nI + V,
@@ -130,13 +180,11 @@ def rhs(state: PIVState):
     by the Lax compatibility condition; without it the (2,1) block of
     dA/ds - dU/dlam - [U, A] is exactly 2 y^{-1} [Jtop, z] / lam.
     """
-    s, y, z, zp, u = state.s, state.y, state.z, state.zp, state.u
-    eye = np.eye(2)
-    jt = _jtop(state.variant)
+    s, y, z, zp, u = _col(state.s), state.y, state.z, state.zp, state.u
     v = v_term(state.variant, y)
-    up = -u @ u + 2.0 * s * u + 4.0 * z - 2.0 * state.n * eye + v
-    yd = (u - 2.0 * s * eye) @ y
-    zpd = 2.0 * up @ z + 2.0 * u @ zp - 2.0 * s * zp + 2.0 * commutator(z, jt)
+    up = -u @ u + 2.0 * s * u + 4.0 * z - 2.0 * state.n * _I2 + v
+    yd = (u - 2.0 * s * _I2) @ y
+    zpd = 2.0 * up @ z + 2.0 * u @ zp - 2.0 * s * zp + 2.0 * commutator(z, _JTOP[state.variant])
     return yd, zp, zpd, up
 
 
@@ -148,23 +196,35 @@ def _pack(state, fields: tuple) -> np.ndarray:
     return np.concatenate([getattr(state, f).ravel() for f in fields])
 
 
-def _unpack(vec: np.ndarray, proto, fields: tuple, s: float):
-    """The state like proto at s whose fields are consecutive slices of vec;
-    built directly, as dataclasses.replace costs ~1 us more per RK stage."""
-    parts, i = {"s": s, "variant": proto.variant, "n": proto.n}, 0
+def _unpack(vec: np.ndarray, proto, fields: tuple, s):
+    """The state like proto at s whose fields are consecutive slices of
+    vec's last axis; a leading axis of vec (and s) becomes a leading axis
+    of every field.  Built without __post_init__, which would run on every
+    RK stage: the slices take the shapes of proto, validated once."""
+    state = object.__new__(type(proto))
+    parts = vars(state)
+    parts.update(s=s, variant=proto.variant, n=proto.n)
+    i, lead = 0, vec.shape[:-1]
     for f in fields:
         shape = getattr(proto, f).shape
         end = i + shape[0] * shape[1]
-        parts[f] = vec[i:end].reshape(shape)
+        parts[f] = vec[..., i:end].reshape(lead + shape)
         i = end
-    return type(proto)(**parts)
+    return state
+
+
+def _check_single(state, fields: tuple) -> None:
+    """A flow packs one state into one vector; a stacked one would not fit."""
+    if np.ndim(state.s) != 0 or any(np.ndim(getattr(state, f)) != 2 for f in fields):
+        raise ValueError("a flow starts from a single state, not a stacked one")
 
 
 def _rk4(flow, vec0: np.ndarray, s0: float, s_end: float, h: float):
     """Classical fixed-step RK4 for vec' = flow(vec, s) from s0 to s_end;
-    returns the abscissae and the state vectors, the initial ones included.
-    A ValueError inside a stage and a blow-up (non-finite state or norm
-    above _BLOWUP) both name the s at the end of the failing step."""
+    returns the abscissae and the state vectors, the initial ones included,
+    as arrays of shapes (T,) and (T,) + vec0.shape.  A ValueError inside a
+    stage and a blow-up (non-finite state or norm above _BLOWUP) both name
+    the s at the end of the failing step."""
     if h <= 0:
         raise ValueError("step must be positive")
     if abs(s_end - s0) / h > _MAX_STEPS:
@@ -186,7 +246,7 @@ def _rk4(flow, vec0: np.ndarray, s0: float, s_end: float, h: float):
             raise ValueError(f"singularity encountered at s={s:.6g}")
         ss.append(s)
         vecs.append(vec)
-    return ss, vecs
+    return np.array(ss), np.array(vecs)
 
 
 def integrate(
@@ -195,18 +255,18 @@ def integrate(
     """Classical fixed-step fourth-order integration from state0.s to
     s_end; optionally reports a step-halving estimate of the endpoint
     global error."""
+    _check_single(state0, _PIV_FIELDS)
 
     def flow(vec, s):
-        return np.concatenate([d.ravel() for d in rhs(_unpack(vec, state0, _PIV_FIELDS, s))])
+        return np.concatenate(rhs(_unpack(vec, state0, _PIV_FIELDS, s)), axis=None)
 
     vec0 = _pack(state0, _PIV_FIELDS)
     ss, vecs = _rk4(flow, vec0, state0.s, s_end, h)
-    states = [state0] + [_unpack(v, state0, _PIV_FIELDS, s) for s, v in zip(ss[1:], vecs[1:])]
     err = None
     if error_estimate:
         fine = _rk4(flow, vec0, state0.s, s_end, h / 2.0)[1]
         err = float(np.linalg.norm(vecs[-1] - fine[-1]))
-    return Trajectory(states=states, global_error_estimate=err)
+    return Trajectory(_unpack(vecs, state0, _PIV_FIELDS, ss), global_error_estimate=err)
 
 
 def _v_derivatives(state: PIVState, yd, ydd):
@@ -225,14 +285,15 @@ def _v_derivatives(state: PIVState, yd, ydd):
         )
         return v, vp, vpp
     # rectangular: V = 4 J2 - 2 S P with S = y J3 y^T, P = (y y^T)^{-1}
-    p = np.linalg.inv(y @ y.T)
-    sym = y @ J3 @ y.T
-    m = yd @ y.T + y @ yd.T
+    yt, ydt, yddt = _t(y), _t(yd), _t(ydd)
+    p = np.linalg.inv(y @ yt)
+    sym = y @ J3 @ yt
+    m = yd @ yt + y @ ydt
     pp = -p @ m @ p
-    symp = yd @ J3 @ y.T + y @ J3 @ yd.T
-    mp = ydd @ y.T + 2.0 * yd @ yd.T + y @ ydd.T
+    symp = yd @ J3 @ yt + y @ J3 @ ydt
+    mp = ydd @ yt + 2.0 * yd @ ydt + y @ yddt
     ppp = -pp @ m @ p - p @ mp @ p - p @ m @ pp
-    sympp = ydd @ J3 @ y.T + 2.0 * yd @ J3 @ yd.T + y @ J3 @ ydd.T
+    sympp = ydd @ J3 @ yt + 2.0 * yd @ J3 @ ydt + y @ J3 @ yddt
     v = 4.0 * J2 - 2.0 * sym @ p
     vp = -2.0 * (symp @ p + sym @ pp)
     vpp = -2.0 * (sympp @ p + 2.0 * symp @ pp + sym @ ppp)
@@ -242,10 +303,9 @@ def _v_derivatives(state: PIVState, yd, ydd):
 def analytic_derivatives(state: PIVState) -> dict:
     """Closed-form s-derivatives at a state: y', y'', z', z'', u', u'',
     u''', V, V', V''; everything needed by the residual evaluators."""
-    s, y, z, zp, u = state.s, state.y, state.z, state.zp, state.u
-    eye = np.eye(2)
+    s, y, z, zp, u = _col(state.s), state.y, state.z, state.zp, state.u
     yd, zd, zpd, up = rhs(state)
-    ydd = (up - 2.0 * eye) @ y + (u - 2.0 * s * eye) @ yd
+    ydd = (up - 2.0 * _I2) @ y + (u - 2.0 * s * _I2) @ yd
     v, vp, vpp = _v_derivatives(state, yd, ydd)
     upp = -(up @ u + u @ up) + 2.0 * u + 2.0 * s * up + 4.0 * zp + vp
     # zp' = z'' from the flow; its derivative gives z'''
@@ -255,7 +315,7 @@ def analytic_derivatives(state: PIVState) -> dict:
         + 2.0 * u @ zpd
         - 2.0 * zp
         - 2.0 * s * zpd
-        + 2.0 * commutator(zp, _jtop(state.variant))
+        + 2.0 * commutator(zp, _JTOP[state.variant])
     )
     uppp = -(upp @ u + 2.0 * up @ up + u @ upp) + 4.0 * up + 2.0 * s * upp + 4.0 * zpd + vpp
     return {
@@ -273,7 +333,7 @@ def analytic_derivatives(state: PIVState) -> dict:
     }
 
 
-def ncpiv_residual(state: PIVState, vblock_sign: float = -1.0) -> np.ndarray:
+def ncpiv_residual(state: PIVState, vblock_sign: float = -1.0, derivs: dict | None = None) -> np.ndarray:
     """Third-order matrix Painleve IV residual along the flow:
 
         u''' + [u'', u] - 4(n+1+s^2) u' - 2({u', u^2} + u u' u)
@@ -283,40 +343,42 @@ def ncpiv_residual(state: PIVState, vblock_sign: float = -1.0) -> np.ndarray:
     The final commutator (the eliminated 8[z, Jtop]) accompanies the
     commutator correction in z''; it vanishes in the commuting case.
     The sign of the V-block that actually vanishes along trajectories is
-    the default -1 (see tests for the cross-check against +1).
+    the default -1 (see tests for the cross-check against +1).  derivs,
+    when given, is analytic_derivatives(state), computed once for several
+    residuals.
     """
-    d = analytic_derivatives(state)
-    s, u, n = state.s, state.u, state.n
+    d = analytic_derivatives(state) if derivs is None else derivs
+    s, u, n = _col(state.s), state.u, state.n
     up, upp, uppp = d["up"], d["upp"], d["uppp"]
     v, vp, vpp = d["v"], d["vp"], d["vpp"]
-    eye = np.eye(2)
-    jt = _jtop(state.variant)
     core = (
         uppp
         + commutator(upp, u)
         - 4.0 * (n + 1.0 + s * s) * up
         - 2.0 * (anticommutator(up, u @ u) + u @ up @ u)
         + 6.0 * s * anticommutator(up, u)
-        + 4.0 * u @ (u - s * eye)
+        + 4.0 * u @ (u - s * _I2)
     )
     vblock = vpp - 2.0 * (up @ v + u @ vp) + 2.0 * s * vp
-    elim = 2.0 * commutator(up + u @ u - 2.0 * s * u - v, jt)
+    elim = 2.0 * commutator(up + u @ u - 2.0 * s * u - v, _JTOP[state.variant])
     return core + vblock_sign * vblock - elim
+
+
+def _block_matrix(lead: tuple, p: int, lam) -> np.ndarray:
+    """Zero (2+p)x(2+p) matrices with leading shape lead, of the dtype of
+    the spectral parameter."""
+    return np.zeros(lead + (2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
 
 
 def lax_matrices(state: PIVState):
     """The pair (A(lam), U(lam)) whose compatibility encodes the flow.
     Returned as callables of the spectral parameter."""
-    s, y, z, zp, u, n = state.s, state.y, state.z, state.zp, state.u, state.n
+    s, y, z, zp, u, n = _col(state.s), state.y, state.z, state.zp, state.u, state.n
     yi = _yinv(state.variant, y)
-    if state.variant == "a":
-        jtop, jbot, p = J2, J2, 2
-    else:
-        jtop, jbot, p = 2.0 * J2, J3, 3
-    i2, ip = np.eye(2), np.eye(p)
+    jbot, ip = (J2, _I2) if state.variant == "a" else (J3, _I3)
+    p, lead = len(ip), y.shape[:-2]
 
-    a0_11, a0_22 = -s * i2, s * ip
-    am1_11 = (n / 2.0) * i2 - z - jtop
+    am1_11 = (n / 2.0) * _I2 - z - _JTOP[state.variant]
     am1_12 = -0.5 * u @ y
     am1_21 = yi @ zp - yi @ u @ z
     am1_22 = yi @ z @ y - (n / 2.0) * ip - jbot
@@ -325,50 +387,50 @@ def lax_matrices(state: PIVState):
     def amat(lam):
         if lam == 0:
             raise ValueError("pole of A")
-        m = np.zeros((2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
-        m[:2, :2] = (lam - s) * i2 + am1_11 / lam
-        m[:2, 2:] = y + am1_12 / lam
-        m[2:, :2] = 2.0 * yi @ z + am1_21 / lam
-        m[2:, 2:] = -(lam - s) * ip + am1_22 / lam
+        m = _block_matrix(lead, p, lam)
+        m[..., :2, :2] = (lam - s) * _I2 + am1_11 / lam
+        m[..., :2, 2:] = y + am1_12 / lam
+        m[..., 2:, :2] = 2.0 * yi @ z + am1_21 / lam
+        m[..., 2:, 2:] = -(lam - s) * ip + am1_22 / lam
         return m
 
     def umat(lam):
-        m = np.zeros((2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
-        m[:2, :2] = -lam * i2
-        m[:2, 2:] = -y
-        m[2:, :2] = u21
-        m[2:, 2:] = lam * ip
+        m = _block_matrix(lead, p, lam)
+        m[..., :2, :2] = -lam * _I2
+        m[..., :2, 2:] = -y
+        m[..., 2:, :2] = u21
+        m[..., 2:, 2:] = lam * ip
         return m
 
     return amat, umat
 
 
-def lax_compat_residual(state: PIVState, lam: complex) -> np.ndarray:
+def lax_compat_residual(state: PIVState, lam: complex, derivs: dict | None = None) -> np.ndarray:
     """d/ds A(lam) - d/dlam U(lam) - [U(lam), A(lam)]; vanishes along
-    trajectories of the flow."""
+    trajectories of the flow.  derivs, when given, is
+    analytic_derivatives(state)."""
     if lam == 0:
         raise ValueError("pole of A")
     y, z, zp, u = state.y, state.z, state.zp, state.u
-    d = analytic_derivatives(state)
+    d = analytic_derivatives(state) if derivs is None else derivs
     yd, zd, zpd, up = d["yp"], d["zp"], d["zpp"], d["up"]
     yi = _yinv(state.variant, y)
     if state.variant == "a":
         yid = -yi @ yd @ yi
-        p = 2
+        ip = _I2
     else:
-        pmat = np.linalg.inv(y @ y.T)
-        pd = -pmat @ (yd @ y.T + y @ yd.T) @ pmat
-        yid = yd.T @ pmat + y.T @ pd
-        p = 3
-    i2, ip = np.eye(2), np.eye(p)
+        pmat = np.linalg.inv(y @ _t(y))
+        pd = -pmat @ (yd @ _t(y) + y @ _t(yd)) @ pmat
+        yid = _t(yd) @ pmat + _t(y) @ pd
+        ip = _I3
 
-    ds = np.zeros((2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
-    ds[:2, :2] = -i2 - zd / lam
-    ds[:2, 2:] = yd - (up @ y + u @ yd) / (2.0 * lam)
-    ds[2:, :2] = 2.0 * (yid @ z + yi @ zd) + (
+    ds = _block_matrix(y.shape[:-2], len(ip), lam)
+    ds[..., :2, :2] = -_I2 - zd / lam
+    ds[..., :2, 2:] = yd - (up @ y + u @ yd) / (2.0 * lam)
+    ds[..., 2:, :2] = 2.0 * (yid @ z + yi @ zd) + (
         yid @ zp + yi @ zpd - yid @ u @ z - yi @ up @ z - yi @ u @ zd
     ) / lam
-    ds[2:, 2:] = ip + (yid @ z @ y + yi @ zd @ y + yi @ z @ yd) / lam
+    ds[..., 2:, 2:] = ip + (yid @ z @ y + yi @ zd @ y + yi @ z @ yd) / lam
     return _compat_tail(ds, lax_matrices(state), lam)
 
 
@@ -377,9 +439,7 @@ def _compat_tail(ds: np.ndarray, matrices, lam: complex) -> np.ndarray:
     d/dlam U = diag(-I_2, I_p) in both formulations."""
     amat, umat = matrices
     a, um = amat(lam), umat(lam)
-    dlam_u = np.zeros_like(um)
-    dlam_u[:2, :2] = -np.eye(2)
-    dlam_u[2:, 2:] = np.eye(len(um) - 2)
+    dlam_u = np.diag([-1.0, -1.0] + [1.0] * (um.shape[-1] - 2))
     return ds - dlam_u - (um @ a - a @ um)
 
 
@@ -398,7 +458,7 @@ def sym_rhs(state: SymState):
     sym_lax_matrices, so the compatibility residual vanishes
     identically along this flow.
     """
-    s, q, qp, r, rp, n = state.s, state.q, state.qp, state.r, state.rp, state.n
+    s, q, qp, r, rp, n = _col(state.s), state.q, state.qp, state.r, state.rp, state.n
     if state.variant == "a":
         ct, jbot = 4.0, J2
     else:
@@ -422,14 +482,13 @@ def sym_rhs(state: SymState):
 
 def integrate_sym(state0: SymState, s_end: float, h: float) -> Trajectory:
     """Fixed-step fourth-order integration of the symmetric system."""
+    _check_single(state0, _SYM_FIELDS)
 
     def flow(vec, s):
-        return np.concatenate([d.ravel() for d in sym_rhs(_unpack(vec, state0, _SYM_FIELDS, s))])
+        return np.concatenate(sym_rhs(_unpack(vec, state0, _SYM_FIELDS, s)), axis=None)
 
     ss, vecs = _rk4(flow, _pack(state0, _SYM_FIELDS), state0.s, s_end, h)
-    return Trajectory(
-        states=[state0] + [_unpack(v, state0, _SYM_FIELDS, s) for s, v in zip(ss[1:], vecs[1:])]
-    )
+    return Trajectory(_unpack(vecs, state0, _SYM_FIELDS, ss))
 
 
 def sym_lax_matrices(state: SymState):
@@ -437,15 +496,15 @@ def sym_lax_matrices(state: SymState):
     block built from rho'_R = -2qr and rho'_L = -2rq (the normalization
     under which the compatibility residual closes; see sym_residuals
     for the alternative-normalization report)."""
-    s, q, qp, r, rp, n = state.s, state.q, state.qp, state.r, state.rp, state.n
+    s, q, qp, r, rp, n = _col(state.s), state.q, state.qp, state.r, state.rp, state.n
     if state.variant == "a":
-        ctop, jbot, p = 4.0, J2, 2
+        ctop, jbot, ip = 4.0, J2, _I2
     else:
-        ctop, jbot, p = 8.0, J3, 3
-    i2, ip = np.eye(2), np.eye(p)
+        ctop, jbot, ip = 8.0, J3, _I3
+    p, lead = len(ip), q.shape[:-2]
     rho_rp = -2.0 * q @ r
     rho_lp = -2.0 * r @ q
-    res11 = rho_rp + 2.0 * n * i2 - ctop * J2
+    res11 = rho_rp + 2.0 * n * _I2 - ctop * J2
     res12 = 4.0 * s * q + 2.0 * qp
     res21 = 4.0 * s * r - 2.0 * rp
     res22 = -rho_lp - 2.0 * n * ip - 4.0 * jbot
@@ -453,19 +512,19 @@ def sym_lax_matrices(state: SymState):
     def amat(lam):
         if lam == 0:
             raise ValueError("pole of A")
-        m = np.zeros((2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
-        m[:2, :2] = (lam - s) * i2 + res11 / (4.0 * lam)
-        m[:2, 2:] = -q + res12 / (4.0 * lam)
-        m[2:, :2] = -r + res21 / (4.0 * lam)
-        m[2:, 2:] = -(lam - s) * ip + res22 / (4.0 * lam)
+        m = _block_matrix(lead, p, lam)
+        m[..., :2, :2] = (lam - s) * _I2 + res11 / (4.0 * lam)
+        m[..., :2, 2:] = -q + res12 / (4.0 * lam)
+        m[..., 2:, :2] = -r + res21 / (4.0 * lam)
+        m[..., 2:, 2:] = -(lam - s) * ip + res22 / (4.0 * lam)
         return m
 
     def umat(lam):
-        m = np.zeros((2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
-        m[:2, :2] = -lam * i2
-        m[:2, 2:] = q
-        m[2:, :2] = r
-        m[2:, 2:] = lam * ip
+        m = _block_matrix(lead, p, lam)
+        m[..., :2, :2] = -lam * _I2
+        m[..., :2, 2:] = q
+        m[..., 2:, :2] = r
+        m[..., 2:, 2:] = lam * ip
         return m
 
     return amat, umat
@@ -475,18 +534,17 @@ def sym_compat_residual(state: SymState, lam: complex) -> np.ndarray:
     """d/ds A - d/dlam U - [U, A] for the symmetric pair."""
     if lam == 0:
         raise ValueError("pole of A")
-    q, r = state.q, state.r
+    s, q, r = _col(state.s), state.q, state.r
     qd, qdd, rd, rdd = sym_rhs(state)
-    p = 2 if state.variant == "a" else 3
-    i2, ip = np.eye(2), np.eye(p)
+    ip = _I2 if state.variant == "a" else _I3
     rho_rpp = -2.0 * (qd @ r + q @ rd)
     rho_lpp = -2.0 * (rd @ q + r @ qd)
 
-    ds = np.zeros((2 + p, 2 + p), dtype=np.result_type(float, type(lam)))
-    ds[:2, :2] = -i2 + rho_rpp / (4.0 * lam)
-    ds[:2, 2:] = -qd + (4.0 * q + 4.0 * state.s * qd + 2.0 * qdd) / (4.0 * lam)
-    ds[2:, :2] = -rd + (4.0 * r + 4.0 * state.s * rd - 2.0 * rdd) / (4.0 * lam)
-    ds[2:, 2:] = ip - rho_lpp / (4.0 * lam)
+    ds = _block_matrix(q.shape[:-2], len(ip), lam)
+    ds[..., :2, :2] = -_I2 + rho_rpp / (4.0 * lam)
+    ds[..., :2, 2:] = -qd + (4.0 * q + 4.0 * s * qd + 2.0 * qdd) / (4.0 * lam)
+    ds[..., 2:, :2] = -rd + (4.0 * r + 4.0 * s * rd - 2.0 * rdd) / (4.0 * lam)
+    ds[..., 2:, 2:] = ip - rho_lpp / (4.0 * lam)
     return _compat_tail(ds, sym_lax_matrices(state), lam)
 
 
@@ -578,5 +636,4 @@ def integrate_scalar_piv(u0: float, up0: float, s0: float, s_end: float, h: floa
         return np.array([vec[1], _scalar_piv_upp(vec[0], vec[1], s, n)])
 
     ss, vecs = _rk4(flow, np.array([u0, up0], dtype=float), s0, s_end, h)
-    us, ups = np.array(vecs).T
-    return np.array(ss), us, ups
+    return ss, vecs[:, 0], vecs[:, 1]

@@ -4,6 +4,9 @@ format contracts, and determinism."""
 import csv
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -371,8 +374,17 @@ def test_runconfig_validation():
     for step in (0.0, -1e-3):
         with pytest.raises(ValueError, match="step must be positive"):
             RunConfig(step=step).validate()
+    for seed in (-1, -(2**40)):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            RunConfig(seed=seed).validate()
+    for points in (199, 5, 0, -200):
+        with pytest.raises(ValueError, match="^quad-points must be at least 200$"):
+            RunConfig(quad_points=points).validate()
+    RunConfig(seed=0, quad_points=200).validate()
     assert main(["fredholm-scan", "--n", "0"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--nu", "nan"]) == EXIT_USAGE
+    assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
+    assert main(["fredholm-scan", "--quad-points", "5"]) == EXIT_USAGE
 
 
 def test_json_output(tmp_path):
@@ -399,3 +411,21 @@ def test_json_output(tmp_path):
     data = json.loads(out.read_text())
     assert len(data) == 2
     assert float(data[0]["det_gram"]) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_only_the_gram_route_loads_scipy_linalg():
+    # scipy.linalg costs about 28 MB and a quarter second at start-up; the
+    # painleve, verify and airy commands never reach the code that needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from ncpiv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['painleve', '--s-min', '0', '--s-max', '0.01'])\n"
+        "    main(['verify', '--n', '2'])\n"
+        "    main(['airy', '--n-list', '8'])\n"
+        "    assert 'scipy.linalg' not in sys.modules\n"
+        "    main(['fredholm-scan', '--n', '1', '--s-steps', '2'])\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True)

@@ -4,7 +4,8 @@ symmetric formulation, and the scalar Painleve IV reductions."""
 import numpy as np
 import pytest
 
-from ncpiv.cli import random_initial_state
+from ncpiv import painleve
+from ncpiv.cli import main, random_initial_state
 from ncpiv.painleve import (
     PIVState,
     SymState,
@@ -208,6 +209,122 @@ def test_lax_pole_at_origin():
         lax_compat_residual(fixed_point(), 0.0)
 
 
+# ------------------------------------------------- stacked evaluation
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_stacked_evaluation_matches_per_state(variant):
+    # one call over the whole trajectory gives what the per-state calls
+    # give: bit for bit on square y, to rounding on rectangular y
+    traj = integrate(random_initial_state(variant, 2, 0.0, seed=4), 0.2, 1e-3)
+    st = traj.stacked
+    assert st.s.shape == (len(traj.states),) and st.u.shape == (len(traj.states), 2, 2)
+    d = analytic_derivatives(st)
+    stacked = {"ncpiv": ncpiv_residual(st, derivs=d)}
+    for lam in (1.3, 2j):
+        stacked[lam] = lax_compat_residual(st, lam, derivs=d)
+
+    def check(got, want):
+        if variant == "a":
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    for i, one in enumerate(traj.states):
+        for key, value in analytic_derivatives(one).items():
+            check(d[key][i], value)
+        check(stacked["ncpiv"][i], ncpiv_residual(one))
+        for lam in (1.3, 2j):
+            check(stacked[lam][i], lax_compat_residual(one, lam))
+
+
+def test_trajectory_states_are_the_stacked_rows():
+    traj = integrate(random_initial_state("b", 1, 0.1, seed=2), 0.15, 1e-2)
+    st = traj.stacked
+    assert len(traj.states) == len(st.s) == 6
+    for i, one in enumerate(traj.states):
+        assert one.s == st.s[i] and (one.variant, one.n) == ("b", 1)
+        for name in ("y", "z", "zp", "u"):
+            assert np.array_equal(getattr(one, name), getattr(st, name)[i])
+
+
+def test_integrate_rejects_a_stacked_state():
+    st = integrate(diagonal_state(), 0.01, 1e-3).stacked
+    with pytest.raises(ValueError, match="single state"):
+        integrate(st, 0.1, 1e-3)
+
+
+def test_closed_form_condition_number():
+    rng = np.random.default_rng(11)
+    rotations = [np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(60)]
+    near_singular = [
+        q1 @ np.diag([1.0, 10.0 ** -k]) @ q2
+        for k, q1, q2 in zip(np.tile([1, 2, 3, 4, 5], 6), rotations[::2], rotations[1::2])
+    ]
+    diagonal = [np.diag(v) for v in ([1.0, 1.0], [3.0, -1e-3], [-2.0, 5.0], [1e-4, 1e4], [0.5, 0.5 + 1e-9])]
+    cases = {
+        "random": rng.normal(size=(200, 2, 2)),
+        "near-singular": np.array(near_singular),
+        "diagonal": np.array(diagonal),
+        "orthogonal": np.array(rotations),
+    }
+    for name, mats in cases.items():
+        want = np.linalg.cond(mats)
+        got = painleve._cond2(mats)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-10, name
+        # one matrix at a time through the same formula
+        assert all(painleve._cond2(m) == g for m, g in zip(mats, got)), name
+
+
+@pytest.mark.parametrize(
+    "variant, y",
+    [
+        ("a", [[1.0, 1.0], [1.0, 1.0]]),
+        ("a", [[1.0, 1.0], [1.0, 1.0 + 1e-12]]),
+        ("a", [[np.nan, 0.0], [0.0, 1.0]]),
+        ("a", [[np.inf, 0.0], [0.0, 1.0]]),
+        ("a", [[0.0, 0.0], [0.0, 0.0]]),
+        ("b", [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+        ("b", [[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]]),
+        ("b", [[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]]),
+        ("b", [[np.inf, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+    ],
+)
+def test_yinv_rejects_singular_ill_conditioned_and_non_finite_y(variant, y):
+    y = np.array(y)
+    with pytest.raises(ValueError, match="^y singular$"):
+        painleve._yinv(variant, y)
+    # one bad matrix in a stack rejects the stack
+    good = np.eye(2) if variant == "a" else np.eye(2, 3)
+    with pytest.raises(ValueError, match="^y singular$"):
+        painleve._yinv(variant, np.stack([good, y, good]))
+
+
+def test_yinv_inverts_a_stack():
+    y = np.stack([np.eye(2, 3), [[1.0, 2.0, 0.0], [0.5, -1.0, 0.0]]])
+    assert np.allclose(y @ painleve._yinv("b", y), np.eye(2))
+    sq = y[:, :, :2]
+    assert np.allclose(painleve._yinv("a", sq) @ sq, np.eye(2))
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_painleve_command_derives_once_per_op(variant, monkeypatch, tmp_path):
+    calls = []
+    real = painleve.analytic_derivatives
+
+    def counted(state):
+        calls.append(np.shape(state.s))
+        return real(state)
+
+    monkeypatch.setattr(painleve, "analytic_derivatives", counted)
+    out = tmp_path / "traj.csv"
+    argv = ["painleve", "--family", variant, "--n", "1", "--seed", "7", "--s-min", "0", "--s-max", "0.2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 201 and not rows[-1].endswith("singular")
+    assert calls == [(201,)]
+
+
 # ----------------------------------------------------------- symmetric
 
 
@@ -236,9 +353,12 @@ def test_sym_zero_data_fixed_point():
 @pytest.mark.parametrize("variant", ["a", "b"])
 def test_sym_compatibility_along_trajectories(variant):
     traj = integrate_sym(sym_random(variant, seed=6), 0.8, 1e-3)
-    for st in (traj.states[0], traj.states[len(traj.states) // 2], traj.states[-1]):
-        for lam in (1.0, -2j, 0.5):
-            assert np.max(np.abs(sym_compat_residual(st, lam))) < 1e-12
+    for lam in (1.0, -2j, 0.5):
+        # every state in one stacked call, equal to the per-state calls
+        stacked = sym_compat_residual(traj.stacked, lam)
+        assert np.max(np.abs(stacked)) < 1e-12
+        for i in (0, len(traj.states) // 2, len(traj.states) - 1):
+            assert np.array_equal(stacked[i], sym_compat_residual(traj.states[i], lam))
 
 
 def test_sym_commuting_reduction_compatibility():
