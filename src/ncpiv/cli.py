@@ -34,6 +34,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Upper limits on the sizes a run may ask for.  The Gauss-Hermite rule
+# solves a dense m x m eigenproblem (fredholm-scan builds with
+# m = 3(n + 1)), so an unchecked size would allocate O(m^2) memory
+# instead of failing as a usage error.
+_MAX_N = 1000
+_MAX_QUAD_POINTS = 4000
+_MAX_S_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -65,12 +73,18 @@ class RunConfig:
             raise ValueError("step must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.n > _MAX_N:
+            raise ValueError(f"n must be at most {_MAX_N}")
         if self.quad_points < 200:
             raise ValueError("quad-points must be at least 200")
+        if self.quad_points > _MAX_QUAD_POINTS:
+            raise ValueError(f"quad-points must be at most {_MAX_QUAD_POINTS}")
         if self.s_min >= self.s_max:
             raise ValueError("s-min must be below s-max")
         if self.s_steps < 2:
             raise ValueError("s-steps must be at least 2")
+        if self.s_steps > _MAX_S_STEPS:
+            raise ValueError(f"s-steps must be at most {_MAX_S_STEPS}")
         if self.radius >= self.line_re:
             raise ValueError("contours intersect ordering")
         if self.format not in ("csv", "json"):
@@ -171,15 +185,15 @@ def cmd_verify(config: RunConfig) -> int:
         checks.append(("kernel-equivalence", "n/a", None, 0.0))
     else:
         circle, line = _rules(config)
+        xs = np.array([-1.0, 0.0, 0.5, 1.5])
         worst = 0.0
         for k in range(1, min(config.n, 5) + 1):
-            for x in (-1.0, 0.0, 0.5, 1.5):
-                direct = kernels.polynomial_times_tfactor(family, k, x)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(kernels.intrep_loop(family, k, x) - direct))),
-                    float(np.max(np.abs(kernels.intrep_line(family, k, x, line) - direct))),
-                )
+            direct = kernels.polynomial_times_tfactor(family, k, xs)
+            worst = max(
+                worst,
+                float(np.max(np.abs(kernels.intrep_loop(family, k, xs) - direct))),
+                float(np.max(np.abs(kernels.intrep_line(family, k, xs, line) - direct))),
+            )
         checks.append(("integral-representations", "", worst, 1e-8))
         spec = kernels.KernelSpec(fam, min(config.n, 4), form="doubleintA" if fam.kind == "a" else "doubleintB")
         grid = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]

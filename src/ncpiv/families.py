@@ -75,8 +75,9 @@ class WeightFamily:
         return exponent_diag(self.dim)
 
 
-def _unipotent_power(a: np.ndarray, t: float) -> np.ndarray:
-    """(I + a)^t for nilpotent a, via the terminating log/exp series."""
+def _unipotent_power(a: np.ndarray, t) -> np.ndarray:
+    """(I + a)^t for nilpotent a, via the terminating log/exp series; an
+    array of exponents t of shape (k,) gives the stack (k, n, n)."""
     n = a.shape[0]
     logm = np.zeros_like(a, dtype=float)
     term = np.eye(n)
@@ -123,19 +124,22 @@ def _tfactor_jet(fam: WeightFamily, x, order: int) -> list:
     return [t, st, sst][: order + 1]
 
 
-def _normalizer(fam: WeightFamily, n: int) -> np.ndarray:
-    """Left factor turning the monic polynomial into the normalized one."""
+def _normalizers(fam: WeightFamily, nmax: int) -> np.ndarray:
+    """Left factors L_0..L_nmax turning the monic polynomials into the
+    normalized ones: (nmax + 1, N, N).  Kind a has one factor for every
+    degree."""
     if fam.kind == "scalar":
-        return np.eye(1)
+        return np.ones((nmax + 1, 1, 1))
     a = nilpotent_shift(fam.dim, fam.nu)
     if fam.kind == "a":
-        return nilpotent_exp(a @ a, -0.25)
-    return _unipotent_power(a, -(2 * n + 1) / 2.0)
+        return np.broadcast_to(nilpotent_exp(a @ a, -0.25), (nmax + 1, fam.dim, fam.dim))
+    return _unipotent_power(a, -(2 * np.arange(nmax + 1) + 1) / 2.0)
 
 
 @dataclass
 class MOPFamily:
-    """A built family: recurrence, monic coefficients, norms.
+    """A built family: recurrence, normalizers, norms, each a stack
+    indexed by degree.
 
     Immutable after construction; evaluation helpers are pure.
     """
@@ -143,13 +147,11 @@ class MOPFamily:
     weight: WeightFamily
     nmax: int
     quad: QuadRule
-    alphas: list = field(repr=False)  # recurrence A_n (monic, left coeffs)
-    betas: list = field(repr=False)  # recurrence B_n
-    monic_coeffs: list = field(repr=False)  # degree-ascending Mat lists
-    monic_norms: list = field(repr=False)  # <Phat_n, Phat_n>_W
-    normalizers: list = field(repr=False)  # L_n with P_n = L_n Phat_n
-    norms: list = field(repr=False)  # ||P_n||^2_W
-    inv_sqrt_norms: list = field(repr=False)
+    alphas: np.ndarray = field(repr=False)  # recurrence A_n (monic, left coeffs)
+    betas: np.ndarray = field(repr=False)  # recurrence B_n
+    normalizers: np.ndarray = field(repr=False)  # L_n with P_n = L_n Phat_n
+    norms: np.ndarray = field(repr=False)  # ||P_n||^2_W
+    inv_sqrt_norms: np.ndarray = field(repr=False)
     ortho_residual: float = 0.0
 
     @property
@@ -157,17 +159,13 @@ class MOPFamily:
         return self.weight.dim
 
 
-def _inner_products(w, wt, fvals, gvals):
-    """<F, G>_W = sum_i w_i F_i Wt_i G_i^T for node-value arrays."""
-    return np.einsum("i,iab,ibc,idc->ad", w, fvals, wt, gvals, optimize=True)
-
-
 def _sym_inv_sqrt(h: np.ndarray) -> np.ndarray:
-    hs = 0.5 * (h + h.T)
+    """H^{-1/2} for a stack of symmetric positive definite matrices."""
+    hs = 0.5 * (h + np.swapaxes(h, -1, -2))
     evals, evecs = np.linalg.eigh(hs)
     if np.min(evals) <= 0:
         raise ValueError("norm matrix not positive definite")
-    return (evecs / np.sqrt(evals)) @ evecs.T
+    return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
 def _pencil_min(num: np.ndarray, den: np.ndarray) -> float:
@@ -181,9 +179,28 @@ def _pencil_min(num: np.ndarray, den: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(ci @ num @ ci.T)[0])
 
 
+def _ortho_residual(gram: np.ndarray, norms: np.ndarray) -> float:
+    """Largest off-diagonal block max|<Phat_a, Phat_b>| of the Gram
+    (K, N, K, N), each scaled by sqrt(||H_a|| ||H_b||) (Frobenius norms
+    of the diagonal blocks H_k, given as the stack (K, N, N))."""
+    block = np.abs(gram).max(axis=(1, 3))
+    scale = np.linalg.norm(norms, axis=(1, 2))
+    ratio = block / (np.sqrt(np.outer(scale, scale)) + 1e-300)
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max())
+
+
 def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> MOPFamily:
     """Build monic polynomials P-hat_0..P-hat_nmax by the Stieltjes
     procedure and attach the closed-form normalization of each family.
+
+    The procedure runs on the weighted node matrix: block k holds
+    sqrt(w_i) P-hat_k(x_i) T(x_i) over the nodes of ``quad`` (a rule with
+    non-negative weights; Gauss-Hermite by default), laid out
+    (N, m N).  The recurrence multiplies P-hat from the left, so it acts
+    on these blocks unchanged, and every inner product
+    <F, G>_W = sum_i w_i F_i T_i T_i^T G_i^T is one GEMM of two blocks;
+    the orthogonality check is one GEMM over all of them.
 
     Raises ValueError("insufficient quadrature") if a step of the
     procedure leaves a norm matrix that is numerically singular on the
@@ -196,55 +213,38 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
         quad = gauss_hermite(max(200, 3 * nmax))
     n = fam.dim
     x = quad.nodes.real
-    w = quad.weights.real
     m = x.size
-    tv = tfactor(fam, x)
-    wt = np.einsum("iab,icb->iac", tv, tv)  # T T^T, Gaussian absorbed in w
-
-    eye = np.eye(n)
-    vals = [np.broadcast_to(eye, (m, n, n)).copy()]
-    coeffs = [[eye.copy()]]
-    norms_m = [_inner_products(w, wt, vals[0], vals[0])]
-    alphas, betas = [], []
+    rows = np.empty((nmax + 1, n, m * n))
+    scaled_t = np.sqrt(quad.weights.real)[:, None, None] * tfactor(fam, x)
+    rows[0] = scaled_t.transpose(1, 0, 2).reshape(n, m * n)
+    xcol = np.repeat(x, n)  # the node of each column
+    norms_m = np.empty((nmax + 1, n, n))
+    norms_m[0] = rows[0] @ rows[0].T
+    alphas = np.empty((nmax, n, n))
+    betas = np.zeros((nmax, n, n))
 
     for k in range(nmax):
-        pk = vals[k]
-        xpk = x[:, None, None] * pk
-        hk_inv = np.linalg.inv(norms_m[k])
-        alpha = _inner_products(w, wt, xpk, pk) @ hk_inv
-        if k == 0:
-            beta = np.zeros((n, n))
-            pnew = xpk - np.einsum("ab,ibc->iac", alpha, pk)
-        else:
-            beta = norms_m[k] @ np.linalg.inv(norms_m[k - 1])
-            pnew = (
-                xpk
-                - np.einsum("ab,ibc->iac", alpha, pk)
-                - np.einsum("ab,ibc->iac", beta, vals[k - 1])
-            )
-        hnew = _inner_products(w, wt, pnew, pnew)
+        hinv = np.linalg.inv(norms_m[k])
+        xpk = xcol * rows[k]
+        alpha = (xpk @ rows[k].T) @ hinv
+        pnew = xpk - alpha @ rows[k]
         # x P_k = P_{k+1} + alpha P_k + beta P_{k-1}, orthogonal on the rule
-        xnorm = hnew + alpha @ norms_m[k] @ alpha.T
+        xnorm = alpha @ norms_m[k] @ alpha.T
         if k > 0:
-            xnorm = xnorm + beta @ norms_m[k - 1] @ beta.T
-        if _pencil_min(hnew, xnorm) < _PENCIL_HARD_LIMIT:
+            beta = norms_m[k] @ hinv_prev
+            pnew -= beta @ rows[k - 1]
+            xnorm += beta @ norms_m[k - 1] @ beta.T
+            betas[k] = beta
+        hnew = pnew @ pnew.T
+        if _pencil_min(hnew, hnew + xnorm) < _PENCIL_HARD_LIMIT:
             raise ValueError(
                 f"insufficient quadrature: the degree-{k + 1} norm matrix is "
                 f"numerically singular on the {m}-node rule"
             )
-        vals.append(pnew)
-        norms_m.append(hnew)
-        alphas.append(alpha)
-        betas.append(beta)
-
-        cprev = coeffs[k]
-        cnew = [np.zeros((n, n))] + [c.copy() for c in cprev]
-        for j, c in enumerate(cprev):
-            cnew[j] = cnew[j] - alpha @ c
-        if k > 0:
-            for j, c in enumerate(coeffs[k - 1]):
-                cnew[j] = cnew[j] - beta @ c
-        coeffs.append(cnew)
+        rows[k + 1] = pnew
+        norms_m[k + 1] = hnew
+        alphas[k] = alpha
+        hinv_prev = hinv
 
     # the top norm <Phat_nmax, Phat_nmax>_W integrates a polynomial of
     # degree 2 nmax + deg W, exact on m Gauss nodes only up to 2m - 1
@@ -256,25 +256,14 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
         )
 
     # orthogonality diagnostic on the monic family
-    stack = np.stack(vals)  # (nmax+1, m, n, n)
-    gram = np.einsum("i,niab,ibc,midc->nmad", w, stack, wt, stack, optimize=True)
-    scale = np.array([np.linalg.norm(norms_m[k]) for k in range(nmax + 1)])
-    resid = 0.0
-    for a in range(nmax + 1):
-        for b in range(nmax + 1):
-            if a == b:
-                continue
-            resid = max(
-                resid,
-                float(np.max(np.abs(gram[a, b])))
-                / (math.sqrt(scale[a] * scale[b]) + 1e-300),
-            )
+    flat = rows.reshape((nmax + 1) * n, m * n)
+    gram = (flat @ flat.T).reshape(nmax + 1, n, nmax + 1, n)
+    resid = _ortho_residual(gram, norms_m)
     if resid > _ORTHO_HARD_LIMIT:
         raise ValueError("insufficient quadrature")
 
-    normalizers = [_normalizer(fam, k) for k in range(nmax + 1)]
-    norms = [normalizers[k] @ norms_m[k] @ normalizers[k].T for k in range(nmax + 1)]
-    inv_sqrt = [_sym_inv_sqrt(h) for h in norms]
+    normalizers = _normalizers(fam, nmax)
+    norms = normalizers @ norms_m @ np.swapaxes(normalizers, -1, -2)
 
     return MOPFamily(
         weight=fam,
@@ -282,11 +271,9 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
         quad=quad,
         alphas=alphas,
         betas=betas,
-        monic_coeffs=coeffs,
-        monic_norms=norms_m,
         normalizers=normalizers,
         norms=norms,
-        inv_sqrt_norms=inv_sqrt,
+        inv_sqrt_norms=_sym_inv_sqrt(norms),
         ortho_residual=resid,
     )
 

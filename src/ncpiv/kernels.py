@@ -53,10 +53,12 @@ def _ratio_power(ratio: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _hermite_coeffs(x: float, deg: int) -> np.ndarray:
+def _hermite_coeffs(x, deg: int) -> np.ndarray:
     """Taylor coefficients h_0..h_deg of e^{2xz - z^2} in z, that is
-    H_p(x)/p!, by h_p = (2x h_{p-1} - 2 h_{p-2}) / p."""
-    h = np.zeros(deg + 1)
+    H_p(x)/p!, by h_p = (2x h_{p-1} - 2 h_{p-2}) / p.  A scalar x gives
+    (deg + 1,), an array x the coefficients (deg + 1, *x.shape)."""
+    x = np.asarray(x, dtype=float)
+    h = np.zeros((deg + 1,) + x.shape)
     h[0] = 1.0
     if deg >= 1:
         h[1] = 2.0 * x
@@ -215,26 +217,41 @@ def cd_double_integral(
     return out[0] if scalar else out
 
 
-def intrep_loop(family: MOPFamily, n: int, x: float) -> np.ndarray:
+def _points(x):
+    """x as a 1-D float array of evaluation points, and whether it was a
+    scalar (then the k = 1 case, to be returned without its axis)."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("x must be a scalar or a 1-D array")
+    return np.atleast_1d(xs), xs.ndim == 0
+
+
+def intrep_loop(family: MOPFamily, n: int, x: float | np.ndarray) -> np.ndarray:
     """P_n(x) T(x) via the loop integral with the closed-form constant:
     contour integral of z^{-J} C_n z^{J} e^{-z^2+2zx} dz / z^{n+1}
     (2J for the quadratic family), taken by residues at z = 0 as
     2 pi i C_ab h_{n + J_a - J_b} with the coefficients h of
-    e^{2xz - z^2} (zero for a negative index)."""
+    e^{2xz - z^2} (zero for a negative index).  A scalar x gives one
+    (N, N) value, a 1-D array of k points the (k, N, N) values."""
+    xs, scalar = _points(x)
     fam = family.weight
     consts = family_constants(fam, n)
     scale = 1 if fam.kind == "a" else 2
     j = scale * fam.jexp
     idx = n + j[:, None] - j[None, :]
-    h = _hermite_coeffs(x, int(idx.max()))
-    return 2j * np.pi * consts["C"] * np.where(idx >= 0, h[idx.clip(0)], 0.0)
+    h = _hermite_coeffs(xs, int(idx.max())).T  # (k, deg + 1)
+    out = 2j * np.pi * consts["C"] * np.where(idx >= 0, h[:, idx.clip(0)], 0.0)
+    return out[0] if scalar else out
 
 
 def intrep_line(
-    family: MOPFamily, n: int, x: float, line: QuadRule | None = None
+    family: MOPFamily, n: int, x: float | np.ndarray, line: QuadRule | None = None
 ) -> np.ndarray:
     """P_n(x) T(x) via the vertical-line integral with the closed-form
-    constant: e^{x^2} integral of w^{J} D_n w^{-J} e^{w^2-2xw} w^n dw."""
+    constant: e^{x^2} integral of w^{J} D_n w^{-J} e^{w^2-2xw} w^n dw.
+    A scalar x gives one (N, N) value, a 1-D array of k points the
+    (k, N, N) values."""
+    xs, scalar = _points(x)
     fam = family.weight
     consts = family_constants(fam, n)
     scale = 1 if fam.kind == "a" else 2
@@ -242,17 +259,22 @@ def intrep_line(
     if line is None:
         line = vline_rule(2.0)
     w, ww = line.nodes, line.weights
-    conj = power_conjugate(j, consts["D"], w)
-    fw = ww * np.exp(w * w - 2.0 * x * w) * _ratio_power(w, n)
-    return np.exp(x * x) * np.einsum("w,wab->ab", fw, conj)
+    conj = power_conjugate(j, consts["D"], w)  # (mw, N, N)
+    fw = ww * np.exp(w * w - 2.0 * xs[:, None] * w) * _ratio_power(w, n)  # (k, mw)
+    # one sum over the nodes per point: the quadrature sum cancels heavily,
+    # and this keeps each point's summation order that of a scalar call
+    out = np.exp(xs * xs)[:, None, None] * np.einsum("kw,wab->kab", fw, conj)
+    return out[0] if scalar else out
 
 
-def polynomial_times_tfactor(family: MOPFamily, n: int, x: float) -> np.ndarray:
+def polynomial_times_tfactor(family: MOPFamily, n: int, x: float | np.ndarray) -> np.ndarray:
     """Direct evaluation of P_n(x) T(x), the quantity both integral
-    representations reproduce."""
-    p = _monic_values(family, np.asarray(float(x)), n + 1)[0][n]
-    t = tfactor(family.weight, np.asarray(float(x)))
-    return family.normalizers[n] @ p @ t
+    representations reproduce.  A scalar x gives one (N, N) value, a 1-D
+    array of k points the (k, N, N) values."""
+    xs, scalar = _points(x)
+    p = _monic_values(family, xs, n + 1)[0][n]
+    out = family.normalizers[n] @ p @ tfactor(family.weight, xs)
+    return out[0] if scalar else out
 
 
 def reproducing_residual(

@@ -35,20 +35,24 @@ def exponent_diag(n: int, scale: int = 1) -> np.ndarray:
     return scale * np.arange(n - 1, -1, -1)
 
 
-def nilpotent_exp(a: np.ndarray, x: float) -> np.ndarray:
+def nilpotent_exp(a: np.ndarray, x) -> np.ndarray:
     """exp(a*x) for a nilpotent matrix a, as the exact terminating sum.
 
-    Raises ValueError if a**rows is not numerically zero.
+    A scalar x gives one (n, n) matrix; an array of x values of shape
+    (k,) gives the stack (k, n, n).  Raises ValueError if a**rows is not
+    numerically zero.
     """
     a = np.asarray(a)
+    x = np.asarray(x)
     n = a.shape[0]
     power = np.linalg.matrix_power(a, n)
     if np.max(np.abs(power)) > _NILPOTENT_TOL:
         raise ValueError("not nilpotent")
-    out = np.eye(n, dtype=np.result_type(a.dtype, type(x)))
+    eye = np.eye(n, dtype=np.result_type(a.dtype, x.dtype))
+    out = np.broadcast_to(eye, x.shape + (n, n)).copy()
     term = out
     for k in range(1, n):
-        term = term @ a * (x / k)
+        term = term @ a * (x[..., None, None] / k)
         out = out + term
     return out
 

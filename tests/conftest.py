@@ -1,6 +1,8 @@
 """Shared fixtures, the small oracles the tests build on, and the
 acceptance-summary reporter."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,27 @@ def phi(family, n, x):
     if n > family.nmax:
         raise ValueError("degree out of range")
     return phi_all(family, x, n + 1)[n]
+
+
+def pairwise_ortho_residual(values, wt):
+    """Orthogonality residual by its definition, one pair at a time: the
+    largest max|<F_a, F_b>| over pairs a != b, each scaled by
+    sqrt(||H_a|| ||H_b||) with H_k = <F_k, F_k> (Frobenius norms), where
+    <F, G> = sum_i F_i wt_i G_i^T for node values (K, m, N, N) and the
+    weighted weight matrices wt (m, N, N)."""
+    k = len(values)
+
+    def inner(f, g):
+        return np.einsum("iab,ibc,idc->ad", f, wt, g)
+
+    scale = [float(np.linalg.norm(inner(values[a], values[a]))) for a in range(k)]
+    resid = 0.0
+    for a in range(k):
+        for b in range(k):
+            if a != b:
+                block = float(np.max(np.abs(inner(values[a], values[b]))))
+                resid = max(resid, block / (math.sqrt(scale[a] * scale[b]) + 1e-300))
+    return resid
 
 
 @pytest.fixture(scope="session")

@@ -380,11 +380,20 @@ def test_runconfig_validation():
     for points in (199, 5, 0, -200):
         with pytest.raises(ValueError, match="^quad-points must be at least 200$"):
             RunConfig(quad_points=points).validate()
+    for field, option, limit in (("n", "n", 1000), ("quad_points", "quad-points", 4000), ("s_steps", "s-steps", 100_000)):
+        RunConfig(**{field: limit}).validate()
+        for bad in (limit + 1, 10**12):
+            with pytest.raises(ValueError, match=f"^{option} must be at most {limit}$"):
+                RunConfig(**{field: bad}).validate()
     RunConfig(seed=0, quad_points=200).validate()
     assert main(["fredholm-scan", "--n", "0"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--nu", "nan"]) == EXIT_USAGE
     assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--quad-points", "5"]) == EXIT_USAGE
+    # too large a size is a usage error, raised before anything is built
+    assert main(["verify", "--quad-points", "100000000"]) == EXIT_USAGE
+    assert main(["fredholm-scan", "--n", "100000000"]) == EXIT_USAGE
+    assert main(["fredholm-scan", "--s-steps", "100000000"]) == EXIT_USAGE
 
 
 def test_json_output(tmp_path):

@@ -7,15 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import phi, weight_eval
+from conftest import pairwise_ortho_residual, phi, weight_eval
 from ncpiv.families import (
     WeightFamily,
+    _monic_values,
+    _ortho_residual,
     build_family,
     family_constants,
     ode_residual,
     phi_all,
     phi_deriv,
     phi_deriv2_all,
+    tfactor,
 )
 from ncpiv.quadrature import compensated_weights, gauss_hermite
 
@@ -65,7 +68,8 @@ def test_nu_zero_collapses_to_scalar_hermite(fam_scalar):
 
 def test_p0_and_its_norm():
     family = build_family(WeightFamily(kind="a", nu=1.0), nmax=2)
-    assert np.allclose(family.monic_coeffs[0][0], np.eye(2))
+    p0 = _monic_values(family, np.array([-1.3, 0.0, 2.1]), 1)[0][0]
+    assert np.array_equal(p0, np.broadcast_to(np.eye(2), (3, 2, 2)))
     assert np.allclose(family.normalizers[0], np.eye(2))  # e^{-A^2/4} = I
     expected = SQRT_PI * np.diag([1.5, 1.0])
     assert np.max(np.abs(family.norms[0] - expected)) < 1e-10
@@ -91,6 +95,56 @@ def test_orthonormality(fam_a, fam_b, fam_scalar):
 def test_monic_orthogonality_residual(fam_a, fam_b):
     assert fam_a.ortho_residual < 1e-9
     assert fam_b.ortho_residual < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+@pytest.mark.parametrize("nu", [0.5, 1.5])
+def test_norms_match_closed_form_up_to_degree_64(kind, nu):
+    family = build_family(WeightFamily(kind=kind, nu=nu), nmax=64)
+    for k in range(65):
+        closed = family_constants(family.weight, k)["norm"]
+        assert np.max(np.abs(family.norms[k] - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
+def test_scalar_recurrence_up_to_degree_64():
+    # monic Hermite: x h_k = h_{k+1} + (k/2) h_{k-1}
+    family = build_family(WeightFamily(kind="scalar"), nmax=64)
+    assert np.max(np.abs(family.alphas[:, 0, 0])) <= 1e-13
+    k = np.arange(64)
+    assert np.all(np.abs(family.betas[:, 0, 0] - k / 2.0) <= 1e-13 * np.maximum(1.0, k / 2.0))
+
+
+def _rule_weight_matrices(family):
+    x = family.quad.nodes.real
+    t = tfactor(family.weight, x)
+    return family.quad.weights.real[:, None, None] * np.einsum("iab,icb->iac", t, t)
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "scalar"])
+def test_ortho_residual_is_the_pairwise_definition(kind):
+    # on the family's own node values the pair-by-pair loop reads the
+    # same rounding-level residual as the one-GEMM diagnostic
+    family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=12)
+    values = np.stack(_monic_values(family, family.quad.nodes.real, 13)[0])
+    loop = pairwise_ortho_residual(values, _rule_weight_matrices(family))
+    assert loop < 1e-13 and family.ortho_residual < 1e-13
+    assert abs(family.ortho_residual - loop) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ortho_residual_helper_on_non_orthogonal_values(dim):
+    # away from rounding level the block maxima, scales and diagonal mask
+    # must reproduce the definition itself
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(6, 9, dim, dim))
+    t = rng.normal(size=(9, dim, dim))
+    wt = rng.uniform(0.1, 1.0, size=9)[:, None, None] * np.einsum("iab,icb->iac", t, t)
+    gram = np.einsum("kiab,ibc,lidc->kald", values, wt, values)
+    norms = np.stack([gram[k, :, k, :] for k in range(6)])
+    got = _ortho_residual(gram, norms)
+    want = pairwise_ortho_residual(values, wt)
+    assert got > 1e-2
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_insufficient_quadrature_detected():

@@ -221,6 +221,24 @@ def test_integral_representations(kind, nu):
             assert np.max(np.abs(intrep_line(family, n, x) - direct)) < 1e-8
 
 
+@pytest.mark.parametrize("kind,nu", [("a", 1.0), ("b", 0.7)])
+def test_integral_representations_on_x_arrays(kind, nu):
+    # an array call is the stack of the scalar calls, for the two
+    # representations and the direct evaluation they reproduce
+    family = build_family(WeightFamily(kind=kind, nu=nu), nmax=7)
+    xs = np.array([-1.0, 0.0, 0.5, 1.5, -2.3])
+    line = vline_rule(2.0)
+    for n in (0, 1, 3, 7):
+        for f in (polynomial_times_tfactor, intrep_loop, lambda fam, k, x: intrep_line(fam, k, x, line)):
+            got = f(family, n, xs)
+            one_at_a_time = np.stack([f(family, n, float(x)) for x in xs])
+            assert got.shape == (5, 2, 2)
+            assert np.all(np.abs(got - one_at_a_time) <= 1e-12 * (1.0 + np.abs(one_at_a_time)))
+            assert f(family, n, xs[:1]).shape == (1, 2, 2)
+    with pytest.raises(ValueError, match="1-D"):
+        intrep_loop(family, 2, np.zeros((2, 2)))
+
+
 def test_intrep_loop_p0_is_identity(fam_a):
     assert np.max(np.abs(intrep_loop(fam_a, 0, 0.0) - np.eye(2))) < 1e-10
 

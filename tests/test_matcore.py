@@ -53,6 +53,14 @@ def test_nilpotent_exp_matches_expm():
     assert np.max(np.abs(nilpotent_exp(a, 0.7) - expm(0.7 * a))) < 1e-13
 
 
+def test_nilpotent_exp_on_an_array_of_x():
+    a = np.triu(np.arange(9.0).reshape(3, 3) / 7.0, k=1)
+    xs = np.array([-1.5, 0.0, 0.25, 3.0])
+    got = nilpotent_exp(a, xs)
+    assert got.shape == (4, 3, 3)
+    assert np.array_equal(got, np.stack([nilpotent_exp(a, float(x)) for x in xs]))
+
+
 def test_nilpotent_exp_rejects_non_nilpotent():
     with pytest.raises(ValueError, match="not nilpotent"):
         nilpotent_exp(np.eye(2), 1.0)
