@@ -34,12 +34,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# Upper limits on the sizes a run may ask for.  The Gauss-Hermite rule
-# solves a dense m x m eigenproblem (fredholm-scan builds with
-# m = 3(n + 1)), so an unchecked size would allocate O(m^2) memory
-# instead of failing as a usage error.
+# Upper limits on the sizes a run may ask for, so that an unchecked size
+# fails as a usage error instead of allocating without bound.  numpy's
+# Gauss-Hermite rule has NaN weights from 372 nodes on, so no rule may be
+# larger than _MAX_RULE_NODES: not --quad-points, and not the 3(n + 1)-node
+# rule that verify checks orthonormality on and fredholm-scan builds its
+# family on.
 _MAX_N = 1000
-_MAX_QUAD_POINTS = 4000
+_MAX_RULE_NODES = 370
+_RULE_COMMANDS = ("verify", "fredholm-scan")
 _MAX_S_STEPS = 100_000
 
 
@@ -60,7 +63,9 @@ class RunConfig:
     out: str = ""
     format: str = "csv"
 
-    def validate(self) -> None:
+    def validate(self, command: str = "") -> None:
+        """Raise ValueError for an option value the run cannot use; with
+        ``command``, also for the sizes that subcommand derives from n."""
         if self.family not in ("a", "b", "scalar"):
             raise ValueError("family must be a, b or scalar")
         for f in fields(self):
@@ -77,8 +82,13 @@ class RunConfig:
             raise ValueError(f"n must be at most {_MAX_N}")
         if self.quad_points < 200:
             raise ValueError("quad-points must be at least 200")
-        if self.quad_points > _MAX_QUAD_POINTS:
-            raise ValueError(f"quad-points must be at most {_MAX_QUAD_POINTS}")
+        if self.quad_points > _MAX_RULE_NODES:
+            raise ValueError(f"quad-points must be at most {_MAX_RULE_NODES}")
+        if command in _RULE_COMMANDS and 3 * (self.n + 1) > _MAX_RULE_NODES:
+            raise ValueError(
+                f"n must be at most {_MAX_RULE_NODES // 3 - 1} for {command}: its "
+                f"Gauss-Hermite rule has 3(n + 1) nodes, at most {_MAX_RULE_NODES}"
+            )
         if self.s_min >= self.s_max:
             raise ValueError("s-min must be below s-max")
         if self.s_steps < 2:
@@ -151,33 +161,32 @@ def cmd_verify(config: RunConfig) -> int:
     family = build_family(fam, max(config.n, 6), quad=gauss_hermite(config.quad_points))
     checks: list[tuple[str, str, float | None, float]] = []
 
-    # orthonormality of the Phi functions
+    # orthonormality of the Phi functions: one GEMM of the weighted node
+    # values, rows (degree, row of Phi), columns (node, column of Phi);
+    # Phi carries e^{-x^2/2}, so each node is weighted by sqrt(w) e^{x^2/2}
     quad = gauss_hermite(max(200, 3 * (config.n + 1)))
-    p = phi_all(family, quad.nodes.real, config.n + 1)
-    gram = np.einsum("i,jiab,kicb->jkac", quad.weights * np.exp(quad.nodes.real**2), p, p)
-    target = np.einsum("jk,ac->jkac", np.eye(config.n + 1), np.eye(family.dim))
-    checks.append(("orthonormality", "", float(np.max(np.abs(gram - target))), 1e-9))
+    x = quad.nodes.real
+    p = phi_all(family, x, config.n + 1) * (np.sqrt(quad.weights.real) * np.exp(0.5 * x * x))[:, None, None]
+    flat = p.transpose(0, 2, 1, 3).reshape((config.n + 1) * family.dim, -1)
+    gram = flat @ flat.T
+    checks.append(("orthonormality", "", float(np.max(np.abs(gram - np.eye(gram.shape[0])))), 1e-9))
 
     # closed-form norms
     if fam.kind == "scalar":
         checks.append(("norm-formula", "n/a", None, 0.0))
     else:
-        worst = 0.0
-        for k in range(config.n + 1):
-            closed = family_constants(fam, k)["norm"]
-            worst = max(worst, float(np.max(np.abs(family.norms[k] - closed)) / np.max(np.abs(closed))))
-        checks.append(("norm-formula", "", worst, 1e-8))
+        # np.max, unlike the builtin max, carries a NaN through
+        closed = np.array([family_constants(fam, k)["norm"] for k in range(config.n + 1)])
+        rel = np.max(np.abs(family.norms[: config.n + 1] - closed), axis=(1, 2)) / np.max(np.abs(closed), axis=(1, 2))
+        checks.append(("norm-formula", "", float(np.max(rel)), 1e-8))
 
     # ODE eigenfunction residual
     if fam.kind == "scalar":
         checks.append(("ode-residual", "n/a", None, 0.0))
     else:
         rng = np.random.default_rng(config.seed)
-        worst = max(
-            float(np.max(np.abs(ode_residual(family, k, rng.uniform(-2, 2, size=5)))))
-            for k in range(min(config.n, family.nmax) + 1)
-        )
-        checks.append(("ode-residual", "", worst, 1e-8))
+        resid = [ode_residual(family, k, rng.uniform(-2, 2, size=5)) for k in range(min(config.n, family.nmax) + 1)]
+        checks.append(("ode-residual", "", float(np.max(np.abs(resid))), 1e-8))
 
     # integral representations and kernel equivalence
     if fam.kind == "scalar":
@@ -186,15 +195,12 @@ def cmd_verify(config: RunConfig) -> int:
     else:
         circle, line = _rules(config)
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
-        worst = 0.0
+        errors = []
         for k in range(1, min(config.n, 5) + 1):
             direct = kernels.polynomial_times_tfactor(family, k, xs)
-            worst = max(
-                worst,
-                float(np.max(np.abs(kernels.intrep_loop(family, k, xs) - direct))),
-                float(np.max(np.abs(kernels.intrep_line(family, k, xs, line) - direct))),
-            )
-        checks.append(("integral-representations", "", worst, 1e-8))
+            errors.append(kernels.intrep_loop(family, k, xs) - direct)
+            errors.append(kernels.intrep_line(family, k, xs, line) - direct)
+        checks.append(("integral-representations", "", float(np.max(np.abs(errors))), 1e-8))
         spec = kernels.KernelSpec(fam, min(config.n, 4), form="doubleintA" if fam.kind == "a" else "doubleintB")
         grid = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]
         worst = kernels.generic_kernel_deviation(spec, family, grid, circle=circle, line=line)
@@ -230,25 +236,21 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
     circle, line = _rules(config) if custom else (None, None)
     grid = np.linspace(config.s_min, config.s_max, config.s_steps)
 
-    def row(s: float) -> dict:
+    # one pass over the grid: each row's Gram factor updates the last one
+    rows = []
+    for s, system in zip(grid.tolist(), fredholm.build_grams(family, config.n, grid)):
         out = {"s": s, "error": ""}
         try:
-            system = fredholm.build_gram(family, config.n, s)
             out["det_gram"] = fredholm.gram_det(family, config.n, s, system=system)
             out["det_contour"] = fredholm.contour_det(family, config.n, s, circle=circle, line=line)
-            out["R"] = fredholm.log_deriv(family, config.n, s, order=1, system=system)
-            out["Rp"] = fredholm.log_deriv(family, config.n, s, order=2, system=system)
-            out["Rpp"] = fredholm.log_deriv(family, config.n, s, order=3, system=system)
+            out["R"], out["Rp"], out["Rpp"] = fredholm.log_derivs(system)
             if fam.kind == "scalar":
                 out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, s)
             else:
                 out["sigma_piv_residual"] = ""
         except ValueError as exc:
             out["error"] = str(exc)
-        return out
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(row, grid))
+        rows.append(out)
     columns = ["s", "det_gram", "det_contour", "R", "Rp", "Rpp", "sigma_piv_residual", "error"]
     _emit(rows, columns, config)
     return EXIT_OK
@@ -384,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     config = _config_from(args)
     try:
-        config.validate()
+        config.validate(args.command)
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "fredholm-scan":

@@ -114,8 +114,8 @@ def _tfactor_jet(fam: WeightFamily, x, order: int) -> list:
     if order == 0:
         return [t]
     shift = fam.shift
-    st = np.einsum("ab,...bc->...ac", shift, t)
-    sst = np.einsum("ab,...bc->...ac", shift @ shift, t)
+    st = shift @ t
+    sst = (shift @ shift) @ t
     if fam.kind == "b":
         # T = e^{B x^2}  ->  T' = 2x B T, T'' = 2 B T + 4 x^2 B^2 T
         x2 = (x * x)[..., None, None]
@@ -236,7 +236,7 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
             xnorm += beta @ norms_m[k - 1] @ beta.T
             betas[k] = beta
         hnew = pnew @ pnew.T
-        if _pencil_min(hnew, hnew + xnorm) < _PENCIL_HARD_LIMIT:
+        if not _pencil_min(hnew, hnew + xnorm) >= _PENCIL_HARD_LIMIT:  # NaN fails too
             raise ValueError(
                 f"insufficient quadrature: the degree-{k + 1} norm matrix is "
                 f"numerically singular on the {m}-node rule"
@@ -259,7 +259,7 @@ def build_family(fam: WeightFamily, nmax: int, quad: QuadRule | None = None) -> 
     flat = rows.reshape((nmax + 1) * n, m * n)
     gram = (flat @ flat.T).reshape(nmax + 1, n, nmax + 1, n)
     resid = _ortho_residual(gram, norms_m)
-    if resid > _ORTHO_HARD_LIMIT:
+    if not resid <= _ORTHO_HARD_LIMIT:
         raise ValueError("insufficient quadrature")
 
     normalizers = _normalizers(fam, nmax)
@@ -296,9 +296,9 @@ def _monic_values(family: MOPFamily, x, upto: int, derivs: int = 0) -> list:
             nxt = xm * p[k]
             if j:
                 nxt = j * jet[j - 1][k] + nxt
-            nxt = nxt - np.einsum("ab,...bc->...ac", al, p[k])
+            nxt = nxt - al @ p[k]
             if k > 0:
-                nxt = nxt - np.einsum("ab,...bc->...ac", be, p[k - 1])
+                nxt = nxt - be @ p[k - 1]
             p.append(nxt)
     return jet
 
@@ -312,28 +312,22 @@ def _phi_jet(family: MOPFamily, x, upto: int, order: int) -> list:
     if upto > family.nmax + 1:
         raise ValueError("degree out of range")
     x = np.asarray(x, dtype=float)
-    p = _monic_values(family, x, upto, derivs=order)
+    # stacks (upto, ..., N, N): every degree in one matmul per product
+    p = [np.stack(pj) for pj in _monic_values(family, x, upto, derivs=order)]
     t = _tfactor_jet(family.weight, x, order)
     xm = x[..., None, None]
     env = np.exp(-0.5 * x * x)[..., None, None]
-    out = [[] for _ in range(order + 1)]
-    for k in range(upto):
-        lead = family.inv_sqrt_norms[k] @ family.normalizers[k]
-        pk = [pj[k] for pj in p]
-        out[0].append(env * np.einsum("ab,...bc,...cd->...ad", lead, pk[0], t[0]))
-        if order >= 1:
-            inner = (
-                -xm * np.einsum("...ab,...bc->...ac", pk[0], t[0])
-                + np.einsum("...ab,...bc->...ac", pk[1], t[0])
-                + np.einsum("...ab,...bc->...ac", pk[0], t[1])
-            )
-            out[1].append(env * np.einsum("ab,...bc->...ac", lead, inner))
-        if order >= 2:
-            q = pk[0] @ t[0]
-            dq = pk[1] @ t[0] + pk[0] @ t[1]
-            ddq = pk[2] @ t[0] + 2.0 * (pk[1] @ t[1]) + pk[0] @ t[2]
-            out[2].append(env * (lead @ ((xm * xm - 1.0) * q - 2.0 * xm * dq + ddq)))
-    return [np.stack(stack) for stack in out]
+    lead = family.inv_sqrt_norms[:upto] @ family.normalizers[:upto]
+    lead = lead.reshape((upto,) + (1,) * x.ndim + lead.shape[1:])
+    q = p[0] @ t[0]
+    out = [env * (lead @ q)]
+    if order >= 1:
+        dq = p[1] @ t[0] + p[0] @ t[1]
+        out.append(env * (lead @ (dq - xm * q)))
+    if order >= 2:
+        ddq = p[2] @ t[0] + 2.0 * (p[1] @ t[1]) + p[0] @ t[2]
+        out.append(env * (lead @ ((xm * xm - 1.0) * q - 2.0 * xm * dq + ddq)))
+    return out
 
 
 def phi_all(family: MOPFamily, x, upto: int) -> np.ndarray:

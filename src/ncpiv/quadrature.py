@@ -20,6 +20,7 @@ __all__ = [
     "tail_integral",
     "lower_tail_integral",
     "lower_tail_rule",
+    "panel_rule",
     "check_contour_ordering",
 ]
 
@@ -28,9 +29,11 @@ DEFAULT_LINE_ABSCISSA = 2.0
 DEFAULT_LINE_NODES = 400
 
 _PANEL_WIDTH = 1.0
-_PANEL_ORDER = 32
+PANEL_ORDER = 32
 _PANEL_TOL = 1e-14
 _MAX_PANELS = 400
+# left end of a lower-tail rule below min(s, 0); see lower_tail_rule
+TAIL_DEPTH = 12.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,14 @@ def gauss_hermite(m: int) -> QuadRule:
 
 @lru_cache(maxsize=None)
 def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-node Gauss-Hermite nodes and weights, computed once; read-only."""
-    x, w = np.polynomial.hermite.hermgauss(m)
+    """The m-node Gauss-Hermite nodes and weights, computed once; read-only.
+
+    numpy's rule overflows to NaN weights from m = 372 on; such a rule
+    raises ValueError rather than reaching a caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(m)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError(f"the {m}-node Gauss-Hermite rule is not finite")
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -112,7 +121,7 @@ def check_contour_ordering(circle: QuadRule, line: QuadRule) -> None:
 @lru_cache(maxsize=None)
 def _reference_panel() -> tuple[np.ndarray, np.ndarray]:
     """The Gauss-Legendre rule on [-1, 1], computed once; read-only."""
-    x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -122,6 +131,13 @@ def _legendre_panel(a: float, b: float):
     x, w = _reference_panel()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def panel_rule(lo: np.ndarray, hi: np.ndarray) -> QuadRule:
+    """Gauss-Legendre panels [lo_i, hi_i], nodes ordered panel by panel."""
+    x, w = _reference_panel()
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    return QuadRule(nodes=(mid + half * x).ravel(), weights=(half * w).ravel(), kind="panel")
 
 
 def lower_tail_integral(f, s: float, scale: float = 1.0) -> np.ndarray:
@@ -157,7 +173,7 @@ def lower_tail_integral(f, s: float, scale: float = 1.0) -> np.ndarray:
     return left
 
 
-def lower_tail_rule(s: float, depth: float = 12.0) -> QuadRule:
+def lower_tail_rule(s: float, depth: float = TAIL_DEPTH) -> QuadRule:
     """Gauss-Legendre panel rule covering [min(s, 0) - depth, s].
 
     For Gaussian-type integrands the omitted tail beyond the left
@@ -166,12 +182,7 @@ def lower_tail_rule(s: float, depth: float = 12.0) -> QuadRule:
     e^{-2d|s| - d^2}, below 1e-36 for the default depth."""
     a = min(s, 0.0) - depth
     edges = np.linspace(a, s, max(2, int(math.ceil(s - a)) + 1))
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = _legendre_panel(lo, hi)
-        xs.append(x)
-        ws.append(w)
-    return QuadRule(nodes=np.concatenate(xs), weights=np.concatenate(ws), kind="panel")
+    return panel_rule(edges[:-1], edges[1:])
 
 
 def tail_integral(f, s: float, full_rule: QuadRule | None = None) -> np.ndarray:

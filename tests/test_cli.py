@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncpiv.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, RunConfig, main
@@ -145,10 +146,12 @@ def test_fredholm_scan_routes_agree(tmp_path):
     assert worst <= 1e-5
 
 
-def test_fredholm_scan_builds_one_gram_system_per_row(tmp_path, monkeypatch):
+def test_fredholm_scan_builds_one_grid_per_scan(tmp_path, monkeypatch):
+    # one grid build covers every row: no per-row Gram system, and one
+    # Phi evaluation on the panels of a short grid
     from ncpiv import fredholm, quadrature
 
-    calls = {"build_gram": 0, "second_log_deriv": 0, "tail_integral": 0}
+    calls = {"build_grams": 0, "build_gram": 0, "phi_all": 0, "second_log_deriv": 0, "tail_integral": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -159,7 +162,9 @@ def test_fredholm_scan_builds_one_gram_system_per_row(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(fredholm, "build_grams")
     counted(fredholm, "build_gram")
+    counted(fredholm, "phi_all")
     counted(fredholm, "second_log_deriv")
     counted(fredholm, "tail_integral")
     counted(quadrature, "tail_integral")
@@ -182,7 +187,8 @@ def test_fredholm_scan_builds_one_gram_system_per_row(tmp_path, monkeypatch):
         ]
     )
     assert code == EXIT_OK
-    assert calls == {"build_gram": steps, "second_log_deriv": 0, "tail_integral": 0}
+    assert len(read_csv(tmp_path / "scan.csv")) == steps + 1
+    assert calls == {"build_grams": 1, "build_gram": 0, "phi_all": 1, "second_log_deriv": 0, "tail_integral": 0}
 
 
 def test_painleve_fixed_point(tmp_path):
@@ -348,7 +354,7 @@ def test_airy_bad_degree_is_usage_error():
     ids=["painleve", "fredholm-scan", "airy"],
 )
 def test_determinism_byte_identical(args, tmp_path, monkeypatch):
-    # the scan and airy rows run on the NCPIV_THREADS pool
+    # the airy rows run on the NCPIV_THREADS pool; the scan runs in order
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("NCPIV_THREADS", "1")
     assert main(args + ["--out", str(out1)]) == EXIT_OK
@@ -380,7 +386,7 @@ def test_runconfig_validation():
     for points in (199, 5, 0, -200):
         with pytest.raises(ValueError, match="^quad-points must be at least 200$"):
             RunConfig(quad_points=points).validate()
-    for field, option, limit in (("n", "n", 1000), ("quad_points", "quad-points", 4000), ("s_steps", "s-steps", 100_000)):
+    for field, option, limit in (("n", "n", 1000), ("quad_points", "quad-points", 370), ("s_steps", "s-steps", 100_000)):
         RunConfig(**{field: limit}).validate()
         for bad in (limit + 1, 10**12):
             with pytest.raises(ValueError, match=f"^{option} must be at most {limit}$"):
@@ -394,6 +400,40 @@ def test_runconfig_validation():
     assert main(["verify", "--quad-points", "100000000"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--n", "100000000"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--s-steps", "100000000"]) == EXIT_USAGE
+
+
+def test_rule_size_implied_by_n_is_capped():
+    # verify and fredholm-scan build a 3(n + 1)-node Gauss-Hermite rule,
+    # finite up to n = 122; painleve takes n only as a parameter
+    for command in ("verify", "fredholm-scan"):
+        RunConfig(n=122).validate(command)
+        with pytest.raises(ValueError, match=f"^n must be at most 122 for {command}: "):
+            RunConfig(n=123).validate(command)
+        assert main([command, "--n", "123"]) == EXIT_USAGE
+    RunConfig(n=123).validate("painleve")
+    RunConfig(n=123).validate()
+    assert main(["verify", "--quad-points", "371"]) == EXIT_USAGE
+    # before these caps, fredholm-scan --n 130 exited 0 with a NaN row each
+    assert main(["fredholm-scan", "--n", "130", "--s-steps", "2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("name", ["ode_residual", "intrep_loop"])
+def test_verify_fails_a_nan_residual(name, monkeypatch, capsys):
+    # one NaN degree among finite ones must fail its check: the builtin
+    # max(0.0, nan) is 0.0, which once printed such a check as ok
+    from ncpiv import cli, kernels
+
+    module = cli if name == "ode_residual" else kernels
+    orig = getattr(module, name)
+
+    def nan_at_degree_two(family, k, x, *args):
+        value = orig(family, k, x, *args)
+        return value * np.nan if k == 2 else value
+
+    monkeypatch.setattr(module, name, nan_at_degree_two)
+    assert main(["verify", "--family", "a", "--n", "4"]) == EXIT_CHECK_FAILED
+    check = "ode-residual" if name == "ode_residual" else "integral-representations"
+    assert re.search(rf"^{check}: max residual nan .* FAIL$", capsys.readouterr().out, re.M)
 
 
 def test_json_output(tmp_path):
@@ -422,19 +462,20 @@ def test_json_output(tmp_path):
     assert float(data[0]["det_gram"]) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_only_the_gram_route_loads_scipy_linalg():
-    # scipy.linalg costs about 28 MB and a quarter second at start-up; the
-    # painleve, verify and airy commands never reach the code that needs it
+def test_no_subcommand_loads_scipy_linalg():
+    # scipy.linalg costs about 25 MB and a quarter second at start-up;
+    # the package solves its triangular systems in numpy
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import contextlib, io, sys\n"
         "from ncpiv.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['painleve', '--s-min', '0', '--s-max', '0.01'])\n"
-        "    main(['verify', '--n', '2'])\n"
-        "    main(['airy', '--n-list', '8'])\n"
-        "    assert 'scipy.linalg' not in sys.modules\n"
-        "    main(['fredholm-scan', '--n', '1', '--s-steps', '2'])\n"
-        "assert 'scipy.linalg' in sys.modules\n"
+        "    assert main(['painleve', '--s-min', '0', '--s-max', '0.01']) == 0\n"
+        "    assert main(['verify', '--n', '2']) == 0\n"
+        "    assert main(['airy', '--n-list', '8']) == 0\n"
+        "    assert main(['fredholm-scan', '--n', '2', '--s-steps', '3']) == 0\n"
+        "    assert main(['fredholm-scan', '--family', 'scalar', '--n', '1', '--s-steps', '2']) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert not any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)\n"
     )
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True)

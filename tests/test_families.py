@@ -20,7 +20,7 @@ from ncpiv.families import (
     phi_deriv2_all,
     tfactor,
 )
-from ncpiv.quadrature import compensated_weights, gauss_hermite
+from ncpiv.quadrature import QuadRule, compensated_weights, gauss_hermite
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -174,6 +174,17 @@ def test_rule_too_small_for_top_norm_is_insufficient_quadrature(kind, m, nmax):
         ValueError, match=rf"insufficient quadrature: .*degree-{nmax}\b.* has {m}$"
     ):
         build_family(WeightFamily(kind=kind, nu=1.0), nmax=nmax, quad=gauss_hermite(m))
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "scalar"])
+def test_nan_rule_is_insufficient_quadrature(kind):
+    # every comparison of the build fails on NaN: numpy's 380-node rule
+    # has NaN weights, and a family built on it used to pass its checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(380)
+    assert np.isnan(w).any()
+    with pytest.raises(ValueError, match="insufficient quadrature"):
+        build_family(WeightFamily(kind=kind, nu=1.0), nmax=6, quad=QuadRule(nodes=x, weights=w, kind="real-line"))
 
 
 @pytest.mark.parametrize("kind", ["a", "b"])

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from ncpiv import fredholm
 from ncpiv.fredholm import (
     _scalar_gram,
     _scalar_log_derivs,
     build_gram,
+    build_grams,
     contour_det,
     gram_det,
     log_deriv,
+    log_derivs,
     second_log_deriv,
     sigma_piv_residual,
     upper_tail_gram,
@@ -79,6 +82,116 @@ def test_build_gram_runs_one_recurrence_at_s(n, fam_a, monkeypatch):
     monkeypatch.setattr(families, "_monic_values", counted)
     build_gram(fam_a, n, 0.4)
     assert len(calls) == 2
+
+
+SCAN_GRID = np.linspace(-3.0, 3.0, 25)
+
+
+def test_grid_build_at_one_point_is_build_gram(fam_a, fam_b):
+    # build_gram is the one-point grid, and the first point of any grid
+    # sees the same panels, so the same bits
+    for family in (fam_a, fam_b):
+        for s in (-2.5, 0.4):
+            one = build_gram(family, 3, s)
+            (alone,) = build_grams(family, 3, [s])
+            first = next(build_grams(family, 3, np.linspace(s, s + 2.0, 9)))
+            for system in (alone, first):
+                assert system.s == one.s
+                assert np.array_equal(system.C, one.C) and np.array_equal(system.psi, one.psi)
+
+
+def test_grid_build_shares_a_factor_across_repeated_points(fam_a):
+    systems = list(build_grams(fam_a, 2, [-1.0, 0.5, 0.5, 1.0]))
+    assert systems[1].C is systems[2].C
+    assert not np.array_equal(systems[2].C, systems[3].C)
+    for bad in ([], [0.5, -1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="grid must be"):
+            next(build_grams(fam_a, 2, bad))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_det_gram_matches_scalar_closed_form(fam_scalar, n):
+    # measured worst: 4.5e-12 relative (n = 5), against 3.1e-12 per row
+    with mp.workdps(50):
+        for s, system in zip(SCAN_GRID, build_grams(fam_scalar, n, SCAN_GRID)):
+            exact = mp.log(mp.det(_scalar_gram(n, mp.mpf(float(s)))))
+            assert abs(math.expm1(log_deriv(fam_scalar, n, s, order=0, system=system) - float(exact))) <= 1e-11
+
+
+# worst relative error of R and R' over SCAN_GRID with the per-row Gram
+# system and two-sided whitening of B, B' and B'' that the grid route
+# replaced; the grid route measured 8.5e-15, 5.4e-14, 1.4e-12, 3.2e-12 (R)
+# and 4.1e-13, 3.3e-12, 1.4e-10, 5.8e-10 (R')
+PER_ROW_ERRORS = {2: (9.5e-15, 8.2e-13), 3: (8.6e-12, 8.5e-10), 4: (3.9e-10, 6.6e-8), 5: (9.8e-8, 2.1e-6)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_log_derivs_match_scalar_closed_form(fam_scalar, n):
+    # the whitening never forms C^{-T} B C^{-1}, so R'' too stays far
+    # below the 3e-3 (n = 5, s = -3) of the route it replaced
+    worst = np.zeros(3)
+    with mp.workdps(50):
+        for s, system in zip(SCAN_GRID, build_grams(fam_scalar, n, SCAN_GRID)):
+            exact = [float(v) for v in _scalar_log_derivs(n, mp.mpf(float(s)))]
+            worst = np.maximum(worst, [abs(g - e) / abs(e) for g, e in zip(log_derivs(system), exact)])
+    r_bound, rp_bound = PER_ROW_ERRORS[n]
+    assert worst[0] <= 2.0 * r_bound
+    assert worst[1] <= 2.0 * rp_bound
+    assert worst[2] <= 1e-6
+
+
+def test_grid_log_det_matches_per_row_route(fam_a, fam_b):
+    # the grid's panel set differs from each row's own lower-tail rule;
+    # measured worst: 1.3e-11 (kind b, n = 5, s = -2.75)
+    for family in (fam_a, fam_b):
+        for n in (2, 3, 4, 5):
+            for s, system in zip(SCAN_GRID, build_grams(family, n, SCAN_GRID)):
+                grid_value = log_deriv(family, n, s, order=0, system=system)
+                assert abs(grid_value - log_deriv(family, n, s, order=0)) <= 1e-10
+
+
+def test_log_deriv_reads_the_log_derivs_of_its_system(fam_b):
+    system = build_gram(fam_b, 4, -0.7)
+    assert [log_deriv(fam_b, 4, -0.7, order=k, system=system) for k in (1, 2, 3)] == list(log_derivs(system))
+
+
+def _record_phi_nodes(monkeypatch) -> list:
+    sizes = []
+    orig = fredholm.phi_all
+
+    def recording(family, x, upto):
+        sizes.append(np.size(x))
+        return orig(family, x, upto)
+
+    monkeypatch.setattr(fredholm, "phi_all", recording)
+    return sizes
+
+
+def test_grid_build_evaluates_phi_in_bounded_chunks(fam_a, monkeypatch):
+    sizes = _record_phi_nodes(monkeypatch)
+    # the longest grid the command line takes: its first rows need only
+    # the first chunk of panels
+    systems = build_grams(fam_a, 2, np.linspace(-3.0, 3.0, 100_000))
+    first = [next(systems) for _ in range(10)]
+    assert len(sizes) == 1 and sizes[0] <= fredholm._CHUNK_NODES
+    assert [system.s for system in first] == np.linspace(-3.0, 3.0, 100_000)[:10].tolist()
+    # a whole 3000-point grid: 12 panels of 32 nodes below s = -3 and one
+    # in each of the 2999 intervals, in 48 chunks
+    sizes.clear()
+    assert len(list(build_grams(fam_a, 2, np.linspace(-3.0, 3.0, 3000)))) == 3000
+    assert len(sizes) == 48 and max(sizes) == fredholm._CHUNK_NODES
+    assert sum(sizes) == 32 * (12 + 2999)
+
+
+def test_long_scan_caps_the_nodes_of_each_phi_evaluation(tmp_path, monkeypatch):
+    from ncpiv.cli import main
+
+    sizes = _record_phi_nodes(monkeypatch)
+    out = tmp_path / "scan.csv"
+    argv = ["fredholm-scan", "--n", "1", "--s-min", "-1", "--s-max", "1", "--s-steps", "2000", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 2001
+    assert len(sizes) > 1 and max(sizes) <= fredholm._CHUNK_NODES
 
 
 def test_log_deriv_scalar_erf_closed_form(fam_scalar):

@@ -34,6 +34,15 @@ def test_gauss_hermite_rule_built_once_and_read_only():
     assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
 
 
+def test_gauss_hermite_rejects_a_non_finite_rule():
+    # numpy's rule has NaN weights from 372 nodes on; 370 is the largest
+    # size the command line accepts, and its rule is finite
+    assert np.all(np.isfinite(gauss_hermite(370).weights))
+    for m in (372, 380):
+        with pytest.raises(ValueError, match=f"^the {m}-node Gauss-Hermite rule is not finite$"):
+            gauss_hermite(m)
+
+
 def test_gauss_hermite_second_moment():
     rule = gauss_hermite(50)
     assert integrate(rule, lambda x: x * x) == pytest.approx(SQRT_PI / 2.0, abs=1e-13)
