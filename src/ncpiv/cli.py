@@ -24,6 +24,7 @@ from .families import (
     build_family,
     family_constants,
     ode_residual,
+    ode_terms,
     phi_all,
 )
 from .quadrature import circle_rule, gauss_hermite, vline_rule
@@ -184,9 +185,16 @@ def cmd_verify(config: RunConfig) -> int:
     if fam.kind == "scalar":
         checks.append(("ode-residual", "n/a", None, 0.0))
     else:
-        rng = np.random.default_rng(config.seed)
-        resid = [ode_residual(family, k, rng.uniform(-2, 2, size=5)) for k in range(min(config.n, family.nmax) + 1)]
-        checks.append(("ode-residual", "", float(np.max(np.abs(resid))), 1e-8))
+        # each degree's residual relative to the size of its equation's
+        # terms (largest entries summed): the normalized polynomial grows
+        # with its degree
+        degrees = range(min(config.n, family.nmax) + 1)
+        xs = np.random.default_rng(config.seed).uniform(-2, 2, size=(len(degrees), 5))
+        terms = [ode_terms(family, k, x) for k, x in zip(degrees, xs)]
+        resid = np.stack([ode_residual(family, k, x, t) for k, x, t in zip(degrees, xs, terms)])
+        size = np.max(np.abs(terms), axis=(-2, -1)).sum(axis=1).max(axis=1)
+        rel = np.max(np.abs(resid), axis=(1, 2, 3)) / size
+        checks.append(("ode-residual", "", float(np.max(rel)), 1e-8))
 
     # integral representations and kernel equivalence
     if fam.kind == "scalar":

@@ -31,6 +31,7 @@ __all__ = [
     "phi_all",
     "phi_deriv",
     "phi_deriv2_all",
+    "ode_terms",
     "ode_residual",
     "family_constants",
 ]
@@ -182,10 +183,14 @@ def _pencil_min(num: np.ndarray, den: np.ndarray) -> float:
 def _ortho_residual(gram: np.ndarray, norms: np.ndarray) -> float:
     """Largest off-diagonal block max|<Phat_a, Phat_b>| of the Gram
     (K, N, K, N), each scaled by sqrt(||H_a|| ||H_b||) (Frobenius norms
-    of the diagonal blocks H_k, given as the stack (K, N, N))."""
+    of the diagonal blocks H_k, given as the stack (K, N, N)).  Each H_k
+    is divided by its largest entry before its norm is taken, and the
+    roots are taken before their product: the monic norms grow like
+    n!/2^n, and their squares overflow from degree 115 on."""
     block = np.abs(gram).max(axis=(1, 3))
-    scale = np.linalg.norm(norms, axis=(1, 2))
-    ratio = block / (np.sqrt(np.outer(scale, scale)) + 1e-300)
+    top = np.abs(norms).max(axis=(1, 2))
+    root = np.sqrt(top * np.linalg.norm(norms / top[:, None, None], axis=(1, 2)))
+    ratio = block / (np.outer(root, root) + 1e-300)
     np.fill_diagonal(ratio, 0.0)
     return float(ratio.max())
 
@@ -366,18 +371,27 @@ def _ode_coefficients(fam: WeightFamily, n: int):
     return eye, (f1_const, f1_lin), f0, gam
 
 
-def ode_residual(family: MOPFamily, n: int, x) -> np.ndarray:
-    """Residual P'' F2 + P' F1 + P F0 - Gamma_n P of the normalized
-    polynomial; vanishes identically for both matrix families.  A scalar
-    x gives one (N, N) residual, an array x the (..., N, N) residuals at
-    its points."""
+def ode_terms(family: MOPFamily, n: int, x) -> np.ndarray:
+    """The terms (P'' F2, P' F1, P F0, Gamma_n P) of the eigen-equation of
+    the normalized polynomial P of degree n, stacked on a leading axis of
+    length 4.  A scalar x gives (4, N, N), an array x (4, ..., N, N)."""
     x = np.asarray(x, dtype=float)
     p, dp, ddp = _monic_values(family, x, n + 1, derivs=2)
     ln = family.normalizers[n]
     pn, dpn, ddpn = ln @ p[n], ln @ dp[n], ln @ ddp[n]
     f2, (f1c, f1l), f0, gam = _ode_coefficients(family.weight, n)
     f1 = f1c + x[..., None, None] * f1l
-    return ddpn @ f2 + dpn @ f1 + pn @ f0 - gam @ pn
+    return np.stack([ddpn @ f2, dpn @ f1, pn @ f0, gam @ pn])
+
+
+def ode_residual(family: MOPFamily, n: int, x, terms: np.ndarray | None = None) -> np.ndarray:
+    """Residual P'' F2 + P' F1 + P F0 - Gamma_n P of the normalized
+    polynomial; vanishes identically for both matrix families.  A scalar
+    x gives one (N, N) residual, an array x the (..., N, N) residuals at
+    its points.  terms, when given, is ode_terms(family, n, x), computed
+    once for the residual and the size of its terms."""
+    t = ode_terms(family, n, x) if terms is None else terms
+    return t[0] + t[1] + t[2] - t[3]
 
 
 def family_constants(fam: WeightFamily, n: int) -> dict:

@@ -12,6 +12,7 @@ serves both, with matrix products over the last two axes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -51,6 +52,13 @@ _I3 = np.eye(3)
 # exponent matrix entering the top-left residue block: J2 for the square
 # variant, 2 J2 for the rectangular one
 _JTOP = {"a": J2, "b": 2.0 * J2}
+# J2 and Jtop are diagonal, so the commutators with them are entrywise
+# products: 2 [J2, m] = _J2_COMM * m and 2 [m, Jtop] = _JTOP_COMM[variant] * m
+_J2_COMM = np.array([[0.0, 2.0], [-2.0, 0.0]])
+_JTOP_COMM = {"a": -_J2_COMM, "b": -2.0 * _J2_COMM}
+# V = 4 J2 + (y * _V_COLS) y^dagger for rectangular y (-2 y J3 = y * _V_COLS)
+_4J2 = 4.0 * J2
+_V_COLS = -2.0 * np.diag(J3)
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,7 @@ class Trajectory:
 
 def _t(m: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a (stack of) matrices."""
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def _col(s):
@@ -131,20 +139,54 @@ def _col(s):
     return s if isinstance(s, (int, float)) else np.asarray(s)[..., None, None]
 
 
+def _det_cond(m: np.ndarray):
+    """Entries (a, b, c, d), determinant and 2-norm condition number of
+    m = [[a, b], [c, d]], or of each matrix of a stack, in closed form:
+    cond = (F^2 + sqrt(F^4 - 4 det^2)) / (2 |det|), F the Frobenius norm.
+    With p2 = (a+d)^2 + (b-c)^2 and q2 = (a-d)^2 + (b+c)^2, F^2 = (p2 + q2)/2
+    and F^4 - 4 det^2 = p2 q2, which keeps the root free of cancellation
+    for a near-orthogonal m.  cond is not finite (inf or NaN) where det = 0
+    or an entry is not finite.
+
+    A single matrix runs in Python floats from m.tolist(), whose arithmetic
+    costs a fraction of numpy's on scalars; a stack runs the same operations
+    on arrays, so a matrix gives bitwise the same numbers alone and stacked."""
+    if m.ndim == 2:
+        (a, b), (c, d) = m.tolist()
+        det, num = _det_num(a, b, c, d, math.sqrt)
+        # a Python float raises on a zero divisor where an array gives inf
+        return (a, b, c, d), det, num / (2.0 * abs(det)) if det != 0 else math.inf
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    with np.errstate(all="ignore"):
+        det, num = _det_num(a, b, c, d, np.sqrt)
+        return (a, b, c, d), det, num / (2.0 * abs(det))
+
+
+def _det_num(a, b, c, d, sqrt):
+    """det and the numerator F^2 + sqrt(F^4 - 4 det^2) of _det_cond."""
+    p2 = (a + d) * (a + d) + (b - c) * (b - c)
+    q2 = (a - d) * (a - d) + (b + c) * (b + c)
+    return a * d - b * c, 0.5 * (p2 + q2) + sqrt(p2 * q2)
+
+
 def _cond2(m: np.ndarray):
     """2-norm condition number of a 2x2 matrix m, or of each matrix of a
-    stack, in closed form: (F^2 + sqrt(F^4 - 4 det^2)) / (2 |det|), F the
-    Frobenius norm.  With p2 = (a+d)^2 + (b-c)^2 and q2 = (a-d)^2 + (b+c)^2
-    for m = [[a, b], [c, d]], F^2 = (p2 + q2)/2 and F^4 - 4 det^2 = p2 q2,
-    which keeps the root free of cancellation for a near-orthogonal m.
-    Not finite (inf or NaN) where det = 0 or an entry is not finite."""
-    # [()] makes the entries of a single matrix numpy scalars, whose
-    # arithmetic costs a fraction of that of 0-d arrays
-    a, b, c, d = (m[..., i, j][()] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    with np.errstate(all="ignore"):
-        p2 = (a + d) ** 2 + (b - c) ** 2
-        q2 = (a - d) ** 2 + (b + c) ** 2
-        return (0.5 * (p2 + q2) + np.sqrt(p2 * q2)) / (2.0 * np.abs(a * d - b * c))
+    stack (see _det_cond)."""
+    return _det_cond(m)[2]
+
+
+def _inv2(m: np.ndarray, limit: float) -> np.ndarray:
+    """Inverse adj(m) / det(m) of a 2x2 matrix m, or of each matrix of a
+    stack, bitwise the same alone and stacked.  Raises "y singular" when
+    the condition number of any m is above limit or not finite."""
+    (a, b, c, d), det, cond = _det_cond(m)
+    if m.ndim == 2:
+        if not cond <= limit:
+            raise ValueError("y singular")
+        return np.array([[d / det, -b / det], [-c / det, a / det]])
+    if not (cond <= limit).all():
+        raise ValueError("y singular")
+    return np.stack([d, -b, -c, a], axis=-1).reshape(m.shape) / det[..., None, None]
 
 
 def _yinv(variant: str, y: np.ndarray) -> np.ndarray:
@@ -153,13 +195,8 @@ def _yinv(variant: str, y: np.ndarray) -> np.ndarray:
     variant b its Gram y y^T) is not finite or has a condition number
     above the limit."""
     if variant == "a":
-        gram, limit = y, _COND_LIMIT
-    else:
-        gram, limit = y @ _t(y), _GRAM_COND_LIMIT
-    if not (_cond2(gram) <= limit).all():
-        raise ValueError("y singular")
-    inv = np.linalg.inv(gram)
-    return inv if variant == "a" else _t(y) @ inv
+        return _inv2(y, _COND_LIMIT)
+    return _t(y) @ _inv2(y @ _t(y), _GRAM_COND_LIMIT)
 
 
 def v_term(variant: str, y: np.ndarray) -> np.ndarray:
@@ -167,8 +204,8 @@ def v_term(variant: str, y: np.ndarray) -> np.ndarray:
     4 J2 - 2 y J3 y^dagger for rectangular y."""
     yi = _yinv(variant, y)
     if variant == "a":
-        return 2.0 * commutator(J2, y) @ yi
-    return 4.0 * J2 - 2.0 * y @ J3 @ yi
+        return (_J2_COMM * y) @ yi
+    return _4J2 + (y * _V_COLS) @ yi
 
 
 def rhs(state: PIVState):
@@ -180,11 +217,10 @@ def rhs(state: PIVState):
     by the Lax compatibility condition; without it the (2,1) block of
     dA/ds - dU/dlam - [U, A] is exactly 2 y^{-1} [Jtop, z] / lam.
     """
-    s, y, z, zp, u = _col(state.s), state.y, state.z, state.zp, state.u
-    v = v_term(state.variant, y)
-    up = -u @ u + 2.0 * s * u + 4.0 * z - 2.0 * state.n * _I2 + v
-    yd = (u - 2.0 * s * _I2) @ y
-    zpd = 2.0 * up @ z + 2.0 * u @ zp - 2.0 * s * zp + 2.0 * commutator(z, _JTOP[state.variant])
+    s2, y, z, zp, u = 2.0 * _col(state.s), state.y, state.z, state.zp, state.u
+    up = v_term(state.variant, y) - u @ u + s2 * u + 4.0 * z - (2.0 * state.n) * _I2
+    yd = u @ y - s2 * y
+    zpd = 2.0 * (up @ z + u @ zp) - s2 * zp + _JTOP_COMM[state.variant] * z
     return yd, zp, zpd, up
 
 
@@ -192,24 +228,41 @@ _PIV_FIELDS = ("y", "z", "zp", "u")
 _SYM_FIELDS = ("q", "qp", "r", "rp")
 
 
-def _pack(state, fields: tuple) -> np.ndarray:
-    return np.concatenate([getattr(state, f).ravel() for f in fields])
-
-
-def _unpack(vec: np.ndarray, proto, fields: tuple, s):
-    """The state like proto at s whose fields are consecutive slices of
-    vec's last axis; a leading axis of vec (and s) becomes a leading axis
-    of every field.  Built without __post_init__, which would run on every
-    RK stage: the slices take the shapes of proto, validated once."""
-    state = object.__new__(type(proto))
-    parts = vars(state)
-    parts.update(s=s, variant=proto.variant, n=proto.n)
-    i, lead = 0, vec.shape[:-1]
+def _layout(proto, fields: tuple) -> tuple:
+    """Where each field of states like proto sits in a packed vector, as
+    (name, column slice, transposed) per field; worked out once per flow.
+    The vector is a row-major 2 x w matrix whose consecutive column blocks
+    are the fields, so one reshape and a slice per field unpack it; a
+    field with more than two rows (r, r' of the rectangular symmetric
+    system) has two columns and sits there transposed."""
+    layout, lo = [], 0
     for f in fields:
-        shape = getattr(proto, f).shape
-        end = i + shape[0] * shape[1]
-        parts[f] = vec[..., i:end].reshape(lead + shape)
-        i = end
+        rows, cols = getattr(proto, f).shape
+        width = rows if rows != 2 else cols
+        layout.append((f, slice(lo, lo + width), rows != 2))
+        lo += width
+    return tuple(layout)
+
+
+def _pack(parts, layout: tuple) -> np.ndarray:
+    """The packed vector of parts: one matrix per field of layout, in its
+    order (the fields of a state, or their derivatives)."""
+    return np.concatenate([_t(p) if flip else p for p, (_, _, flip) in zip(parts, layout)], axis=-1).ravel()
+
+
+def _unpack(vec: np.ndarray, proto, layout: tuple, s):
+    """The state like proto at s packed in vec's last axis; a leading axis
+    of vec (and s) becomes a leading axis of every field.  Built without
+    __post_init__, which would run on every RK stage: the fields take the
+    shapes of proto, validated once."""
+    m = vec.reshape(vec.shape[:-1] + (2, -1))
+    state = object.__new__(type(proto))
+    vars(state).update(
+        {f: _t(m[..., cols]) if flip else m[..., cols] for f, cols, flip in layout},
+        s=s,
+        variant=proto.variant,
+        n=proto.n,
+    )
     return state
 
 
@@ -242,7 +295,8 @@ def _rk4(flow, vec0: np.ndarray, s0: float, s_end: float, h: float):
             raise ValueError(f"{exc} at s={s + dt:.6g}") from exc
         vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += dt
-        if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) > _BLOWUP:
+        # false for a NaN or inf entry as for a norm above _BLOWUP
+        if not vec @ vec <= _BLOWUP * _BLOWUP:
             raise ValueError(f"singularity encountered at s={s:.6g}")
         ss.append(s)
         vecs.append(vec)
@@ -256,17 +310,18 @@ def integrate(
     s_end; optionally reports a step-halving estimate of the endpoint
     global error."""
     _check_single(state0, _PIV_FIELDS)
+    layout = _layout(state0, _PIV_FIELDS)
 
     def flow(vec, s):
-        return np.concatenate(rhs(_unpack(vec, state0, _PIV_FIELDS, s)), axis=None)
+        return _pack(rhs(_unpack(vec, state0, layout, s)), layout)
 
-    vec0 = _pack(state0, _PIV_FIELDS)
+    vec0 = _pack([getattr(state0, f) for f in _PIV_FIELDS], layout)
     ss, vecs = _rk4(flow, vec0, state0.s, s_end, h)
     err = None
     if error_estimate:
         fine = _rk4(flow, vec0, state0.s, s_end, h / 2.0)[1]
         err = float(np.linalg.norm(vecs[-1] - fine[-1]))
-    return Trajectory(_unpack(vecs, state0, _PIV_FIELDS, ss), global_error_estimate=err)
+    return Trajectory(_unpack(vecs, state0, layout, ss), global_error_estimate=err)
 
 
 def _v_derivatives(state: PIVState, yd, ydd):
@@ -274,11 +329,11 @@ def _v_derivatives(state: PIVState, yd, ydd):
     y = state.y
     if state.variant == "a":
         yi = _yinv("a", y)
-        v = 2.0 * commutator(J2, y) @ yi
-        vp = 2.0 * commutator(J2, yd) @ yi - v @ yd @ yi
+        v = (_J2_COMM * y) @ yi
+        vp = (_J2_COMM * yd) @ yi - v @ yd @ yi
         vpp = (
-            2.0 * commutator(J2, ydd) @ yi
-            - 2.0 * commutator(J2, yd) @ yi @ yd @ yi
+            (_J2_COMM * ydd) @ yi
+            - (_J2_COMM * yd) @ yi @ yd @ yi
             - vp @ yd @ yi
             - v @ ydd @ yi
             + v @ yd @ yi @ yd @ yi
@@ -286,7 +341,7 @@ def _v_derivatives(state: PIVState, yd, ydd):
         return v, vp, vpp
     # rectangular: V = 4 J2 - 2 S P with S = y J3 y^T, P = (y y^T)^{-1}
     yt, ydt, yddt = _t(y), _t(yd), _t(ydd)
-    p = np.linalg.inv(y @ yt)
+    p = _inv2(y @ yt, _GRAM_COND_LIMIT)
     sym = y @ J3 @ yt
     m = yd @ yt + y @ ydt
     pp = -p @ m @ p
@@ -315,7 +370,7 @@ def analytic_derivatives(state: PIVState) -> dict:
         + 2.0 * u @ zpd
         - 2.0 * zp
         - 2.0 * s * zpd
-        + 2.0 * commutator(zp, _JTOP[state.variant])
+        + _JTOP_COMM[state.variant] * zp
     )
     uppp = -(upp @ u + 2.0 * up @ up + u @ upp) + 4.0 * up + 2.0 * s * upp + 4.0 * zpd + vpp
     return {
@@ -360,7 +415,7 @@ def ncpiv_residual(state: PIVState, vblock_sign: float = -1.0, derivs: dict | No
         + 4.0 * u @ (u - s * _I2)
     )
     vblock = vpp - 2.0 * (up @ v + u @ vp) + 2.0 * s * vp
-    elim = 2.0 * commutator(up + u @ u - 2.0 * s * u - v, _JTOP[state.variant])
+    elim = _JTOP_COMM[state.variant] * (up + u @ u - 2.0 * s * u - v)
     return core + vblock_sign * vblock - elim
 
 
@@ -419,7 +474,7 @@ def lax_compat_residual(state: PIVState, lam: complex, derivs: dict | None = Non
         yid = -yi @ yd @ yi
         ip = _I2
     else:
-        pmat = np.linalg.inv(y @ _t(y))
+        pmat = _inv2(y @ _t(y), _GRAM_COND_LIMIT)
         pd = -pmat @ (yd @ _t(y) + y @ _t(yd)) @ pmat
         yid = _t(yd) @ pmat + _t(y) @ pd
         ip = _I3
@@ -483,12 +538,14 @@ def sym_rhs(state: SymState):
 def integrate_sym(state0: SymState, s_end: float, h: float) -> Trajectory:
     """Fixed-step fourth-order integration of the symmetric system."""
     _check_single(state0, _SYM_FIELDS)
+    layout = _layout(state0, _SYM_FIELDS)
 
     def flow(vec, s):
-        return np.concatenate(sym_rhs(_unpack(vec, state0, _SYM_FIELDS, s)), axis=None)
+        return _pack(sym_rhs(_unpack(vec, state0, layout, s)), layout)
 
-    ss, vecs = _rk4(flow, _pack(state0, _SYM_FIELDS), state0.s, s_end, h)
-    return Trajectory(_unpack(vecs, state0, _SYM_FIELDS, ss))
+    vec0 = _pack([getattr(state0, f) for f in _SYM_FIELDS], layout)
+    ss, vecs = _rk4(flow, vec0, state0.s, s_end, h)
+    return Trajectory(_unpack(vecs, state0, layout, ss))
 
 
 def sym_lax_matrices(state: SymState):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncpiv.families import WeightFamily, build_family, phi_all, tfactor
+from ncpiv.matcore import commutator
 
 # acceptance tests register one verdict line per criterion here; the
 # terminal-summary hook prints them after the run so every criterion
@@ -59,6 +60,38 @@ def pairwise_ortho_residual(values, wt):
                 block = float(np.max(np.abs(inner(values[a], values[b]))))
                 resid = max(resid, block / (math.sqrt(scale[a] * scale[b]) + 1e-300))
     return resid
+
+
+def ref_yinv(variant, y):
+    """Inverse (variant a) or right inverse y^T (y y^T)^{-1} (variant b) of
+    y, or of each y of a stack, by np.linalg.inv."""
+    if variant == "a":
+        return np.linalg.inv(y)
+    yt = np.swapaxes(y, -1, -2)
+    return yt @ np.linalg.inv(y @ yt)
+
+
+def ref_v_term(variant, y):
+    """2 [J2, y] y^{-1} for square y, 4 J2 - 2 y J3 y^dagger for
+    rectangular y, with the commutator taken by matrix products."""
+    j2 = np.diag([1.0, 0.0])
+    yi = ref_yinv(variant, y)
+    if variant == "a":
+        return 2.0 * commutator(j2, y) @ yi
+    return 4.0 * j2 - 2.0 * y @ np.diag([2.0, 1.0, 0.0]) @ yi
+
+
+def ref_rhs(state):
+    """(y', z', z'', u') of the coupled Painleve IV system as written in
+    its definition: y' = (u - 2s) y, u' = -u^2 + 2su + 4z - 2nI + V,
+    z'' = 2u'z + 2uz' - 2sz' + 2[z, Jtop], Jtop = J2 (a) or 2 J2 (b)."""
+    s = state.s if np.ndim(state.s) == 0 else np.asarray(state.s)[..., None, None]
+    y, z, zp, u, i2 = state.y, state.z, state.zp, state.u, np.eye(2)
+    jtop = np.diag([1.0, 0.0]) * (1.0 if state.variant == "a" else 2.0)
+    up = -u @ u + 2.0 * s * u + 4.0 * z - 2.0 * state.n * i2 + ref_v_term(state.variant, y)
+    yd = (u - 2.0 * s * i2) @ y
+    zpd = 2.0 * up @ z + 2.0 * u @ zp - 2.0 * s * zp + 2.0 * commutator(z, jtop)
+    return yd, zp, zpd, up
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,27 @@ def test_verify_family_a(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("family", ["a", "b"])
+def test_verify_ode_residual_is_relative(family, monkeypatch, capsys):
+    # the normalized polynomial grows with its degree, so only a residual
+    # relative to the size of the equation's terms passes sound families
+    # of high degree (an absolute one reads 4e-8 at n = 18, kind a)
+    for n in (18, 30, 60):
+        assert main(["verify", "--family", family, "--n", str(n)]) == EXIT_OK
+    from ncpiv import families
+
+    orig = families._ode_coefficients
+
+    def perturbed(fam, n):
+        f2, f1, f0, gam = orig(fam, n)
+        return f2, f1, f0, gam * (1.0 + 1e-6)
+
+    monkeypatch.setattr(families, "_ode_coefficients", perturbed)
+    capsys.readouterr()
+    assert main(["verify", "--family", family, "--n", "18"]) == EXIT_CHECK_FAILED
+    assert re.search(r"^ode-residual: max residual \S+ \(tol 1e-08\) FAIL$", capsys.readouterr().out, re.M)
+
+
 def test_verify_scalar_skips_matrix_checks(capsys):
     code = main(["verify", "--family", "scalar", "--n", "4"])
     out = capsys.readouterr().out

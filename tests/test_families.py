@@ -3,6 +3,7 @@ orthogonality, closed-form norms, the eigen-equation, and the
 closed-form contour constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_ortho_residual_helper_on_non_orthogonal_values(dim):
     want = pairwise_ortho_residual(values, wt)
     assert got > 1e-2
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+@pytest.mark.parametrize("nmax", [116, 123])
+def test_ortho_residual_at_high_degree(kind, nmax):
+    # the squared monic norms overflow from degree 115 on, which would
+    # turn those degrees' ratios into 0 and drop them from the check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=nmax)
+    assert np.isfinite(family.ortho_residual) and family.ortho_residual < 1e-12
 
 
 def test_insufficient_quadrature_detected():

@@ -4,11 +4,13 @@ symmetric formulation, and the scalar Painleve IV reductions."""
 import numpy as np
 import pytest
 
+from conftest import ref_rhs, ref_v_term, ref_yinv
 from ncpiv import painleve
 from ncpiv.cli import main, random_initial_state
 from ncpiv.painleve import (
     PIVState,
     SymState,
+    Trajectory,
     analytic_derivatives,
     integrate,
     integrate_scalar_piv,
@@ -254,7 +256,9 @@ def test_integrate_rejects_a_stacked_state():
         integrate(st, 0.1, 1e-3)
 
 
-def test_closed_form_condition_number():
+def two_by_two_cases():
+    """Four sets of 2x2 matrices: random, near-singular (cond 10 ... 1e5),
+    diagonal and orthogonal."""
     rng = np.random.default_rng(11)
     rotations = [np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(60)]
     near_singular = [
@@ -262,18 +266,95 @@ def test_closed_form_condition_number():
         for k, q1, q2 in zip(np.tile([1, 2, 3, 4, 5], 6), rotations[::2], rotations[1::2])
     ]
     diagonal = [np.diag(v) for v in ([1.0, 1.0], [3.0, -1e-3], [-2.0, 5.0], [1e-4, 1e4], [0.5, 0.5 + 1e-9])]
-    cases = {
+    return {
         "random": rng.normal(size=(200, 2, 2)),
         "near-singular": np.array(near_singular),
         "diagonal": np.array(diagonal),
         "orthogonal": np.array(rotations),
     }
-    for name, mats in cases.items():
+
+
+def test_closed_form_condition_number():
+    for name, mats in two_by_two_cases().items():
         want = np.linalg.cond(mats)
         got = painleve._cond2(mats)
         assert np.max(np.abs(got / want - 1.0)) < 1e-10, name
         # one matrix at a time through the same formula
         assert all(painleve._cond2(m) == g for m, g in zip(mats, got)), name
+
+
+def test_closed_form_inverse_matches_linalg_inv():
+    for name, mats in two_by_two_cases().items():
+        want = np.linalg.inv(mats)
+        got = painleve._inv2(mats, painleve._COND_LIMIT)
+        # both inverses are backward stable: each is within a few rounding
+        # units times cond(m) of the exact one
+        err = np.max(np.abs(got - want), axis=(1, 2))
+        assert np.all(err <= 8.0 * np.finfo(float).eps * np.linalg.cond(mats) * np.max(np.abs(want), axis=(1, 2))), name
+        # one matrix at a time through the same formula
+        assert all(np.array_equal(painleve._inv2(m, painleve._COND_LIMIT), g) for m, g in zip(mats, got)), name
+
+
+def random_piv_states(variant, rng, count):
+    """count random states of the variant, every entry of y drawn (off the
+    invariant manifold for variant b too), as one stacked state."""
+    cols = 2 if variant == "a" else 3
+    y = np.eye(2, cols) + 0.4 * rng.normal(size=(count, 2, cols))
+    z, zp, u = (0.5 * rng.normal(size=(count, 2, 2)) for _ in range(3))
+    return PIVState(s=rng.uniform(-1.0, 1.0, size=count), y=y, z=z, zp=zp, u=u, variant=variant, n=2)
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_rhs_matches_the_reference_formula(variant):
+    # the masked commutators, folded scalars and closed-form inverse give
+    # what the definition with matrix commutators and np.linalg.inv gives
+    stacked = random_piv_states(variant, np.random.default_rng(5), 40)
+    singles = Trajectory(stacked).states
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for st in singles + [stacked]:
+        assert close(painleve._yinv(variant, st.y), ref_yinv(variant, st.y))
+        assert close(v_term(variant, st.y), ref_v_term(variant, st.y))
+        for got, want in zip(rhs(st), ref_rhs(st)):
+            assert got.shape == want.shape and close(got, want)
+
+
+# where each criterion-8 trajectory (variants a and b, n = 1, seeds 0-9,
+# to s = 1 at step 1e-3) stops, as recorded with the reference
+# right-hand side of conftest (matrix commutators, np.linalg.inv)
+POLE_STOPS = {
+    ("a", 0): ("y singular", 0.644),
+    ("a", 3): ("singularity encountered", 0.625),
+    ("a", 4): ("singularity encountered", 0.773),
+    ("a", 5): ("singularity encountered", 0.673),
+    ("a", 6): ("singularity encountered", 0.843),
+    ("a", 7): ("y singular", 0.89),
+    ("a", 8): ("y singular", 0.695),
+    ("a", 9): ("singularity encountered", 0.795),
+    ("b", 0): ("singularity encountered", 0.642),
+    ("b", 2): ("singularity encountered", 0.781),
+    ("b", 3): ("singularity encountered", 0.569),
+    ("b", 5): ("y singular", 0.565),
+    ("b", 6): ("singularity encountered", 0.74),
+    ("b", 8): ("y singular", 0.694),
+    ("b", 9): ("singularity encountered", 0.666),
+}
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_pole_stops_do_not_move(variant):
+    h = 1e-3
+    for seed in range(10):
+        state = random_initial_state(variant, 1, 0.0, seed=seed)
+        if (variant, seed) not in POLE_STOPS:
+            integrate(state, 1.0, h)
+            continue
+        flag, s_stop = POLE_STOPS[variant, seed]
+        with pytest.raises(ValueError, match=f"^{flag} at s=") as exc:
+            integrate(state, 1.0, h)
+        assert abs(float(str(exc.value).rsplit("s=", 1)[1]) - s_stop) <= 1.001 * h, (seed, str(exc.value))
 
 
 @pytest.mark.parametrize(
