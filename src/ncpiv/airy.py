@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,6 +142,17 @@ def airy_kernel(x: float, y: float) -> float:
     return (ax.ai * ay.aip - ax.aip * ay.ai) / (x - y)
 
 
+@lru_cache(maxsize=8)
+def _airy_target(pts: bytes) -> np.ndarray:
+    """K_Ai at the (x, y) rows of a grid given by its float bytes; the
+    target is the same for every degree, so it is evaluated once per
+    grid.  Read-only."""
+    grid = np.frombuffer(pts, dtype=float).reshape(-1, 2)
+    target = np.array([airy_kernel(x, y) for x, y in grid])
+    target.flags.writeable = False
+    return target
+
+
 def scaling_limit_error(family: MOPFamily, n: int, box_grid) -> dict:
     """Edge-rescaled kernel versus the Airy kernel times the identity.
 
@@ -161,7 +173,7 @@ def scaling_limit_error(family: MOPFamily, n: int, box_grid) -> dict:
     scale = math.sqrt(2.0) * n ** (1.0 / 6.0)
     shift = math.sqrt(2.0 * n)
     k = cd_sum(family, n, shift + pts[:, 0] / scale, shift + pts[:, 1] / scale) / scale
-    target = np.array([airy_kernel(x, y) for x, y in pts])[:, None, None] * np.eye(family.dim)
+    target = _airy_target(pts.tobytes())[:, None, None] * np.eye(family.dim)
     offdiag = k[:, ~np.eye(family.dim, dtype=bool)]
     return {
         "sup_error": float(np.max(np.abs(k - target), initial=0.0)),

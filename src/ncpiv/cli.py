@@ -188,11 +188,12 @@ def cmd_verify(config: RunConfig) -> int:
         # each degree's residual relative to the size of its equation's
         # terms (largest entries summed): the normalized polynomial grows
         # with its degree
-        degrees = range(min(config.n, family.nmax) + 1)
-        xs = np.random.default_rng(config.seed).uniform(-2, 2, size=(len(degrees), 5))
-        terms = [ode_terms(family, k, x) for k, x in zip(degrees, xs)]
-        resid = np.stack([ode_residual(family, k, x, t) for k, x, t in zip(degrees, xs, terms)])
-        size = np.max(np.abs(terms), axis=(-2, -1)).sum(axis=1).max(axis=1)
+        # with 5 points per degree, all degrees in one recurrence pass
+        degrees = np.arange(min(config.n, family.nmax) + 1)
+        xs = np.random.default_rng(config.seed).uniform(-2, 2, size=(degrees.size, 5))
+        terms = ode_terms(family, degrees, xs)  # (4, degree, point, N, N)
+        resid = ode_residual(family, degrees, xs, terms)
+        size = np.max(np.abs(terms), axis=(-2, -1)).sum(axis=0).max(axis=1)
         rel = np.max(np.abs(resid), axis=(1, 2, 3)) / size
         checks.append(("ode-residual", "", float(np.max(rel)), 1e-8))
 
@@ -203,11 +204,10 @@ def cmd_verify(config: RunConfig) -> int:
     else:
         circle, line = _rules(config)
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
-        errors = []
-        for k in range(1, min(config.n, 5) + 1):
-            direct = kernels.polynomial_times_tfactor(family, k, xs)
-            errors.append(kernels.intrep_loop(family, k, xs) - direct)
-            errors.append(kernels.intrep_line(family, k, xs, line) - direct)
+        degrees = np.arange(1, min(config.n, 5) + 1)
+        direct = kernels.polynomial_times_tfactor(family, degrees, xs)
+        loop = kernels.intrep_loop(family, degrees, xs)
+        errors = [loop - direct, kernels.intrep_line(family, degrees, xs, line) - direct]
         checks.append(("integral-representations", "", float(np.max(np.abs(errors))), 1e-8))
         spec = kernels.KernelSpec(fam, min(config.n, 4), form="doubleintA" if fam.kind == "a" else "doubleintB")
         grid = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]

@@ -351,8 +351,10 @@ def phi_deriv2_all(family: MOPFamily, x, upto: int) -> np.ndarray:
     return _phi_jet(family, x, upto, 2)[2]
 
 
-def _ode_coefficients(fam: WeightFamily, n: int):
-    """(F2, F1(x) pieces, F0, Gamma_n) of the second-order eigenequation."""
+def _ode_coefficients(fam: WeightFamily, n):
+    """(F2, F1(x) pieces, F0, Gamma_n) of the second-order eigenequation;
+    an array n of degrees, shaped to broadcast against (N, N), gives a
+    stack of Gamma_n."""
     dim = fam.dim
     eye = np.eye(dim)
     j = np.diag(exponent_diag(dim).astype(float))
@@ -371,15 +373,25 @@ def _ode_coefficients(fam: WeightFamily, n: int):
     return eye, (f1_const, f1_lin), f0, gam
 
 
-def ode_terms(family: MOPFamily, n: int, x) -> np.ndarray:
+def ode_terms(family: MOPFamily, n, x) -> np.ndarray:
     """The terms (P'' F2, P' F1, P F0, Gamma_n P) of the eigen-equation of
     the normalized polynomial P of degree n, stacked on a leading axis of
-    length 4.  A scalar x gives (4, N, N), an array x (4, ..., N, N)."""
+    length 4.  A scalar x gives (4, N, N), an array x (4, ..., N, N).
+    n may also be a 1-D array of d degrees, with x of shape (d, ...):
+    degree n[i] is taken at the points x[i], and all of them come from
+    one recurrence pass over the whole x array."""
     x = np.asarray(x, dtype=float)
-    p, dp, ddp = _monic_values(family, x, n + 1, derivs=2)
-    ln = family.normalizers[n]
-    pn, dpn, ddpn = ln @ p[n], ln @ dp[n], ln @ ddp[n]
-    f2, (f1c, f1l), f0, gam = _ode_coefficients(family.weight, n)
+    ns = np.asarray(n)
+    if ns.ndim and (ns.ndim > 1 or x.shape[:1] != ns.shape):
+        raise ValueError("an array of degrees needs one row of x per degree")
+    # the degree stack is (degree, *x.shape): degree n[i] at its row x[i]
+    pick = (ns, np.arange(ns.size)) if ns.ndim else ns
+    p, dp, ddp = (np.stack(pj)[pick] for pj in _monic_values(family, x, int(ns.max()) + 1, derivs=2))
+    # per-degree matrices broadcast against the points of their row
+    per_degree = ns.shape + (1,) * (x.ndim - ns.ndim)
+    ln = family.normalizers[ns].reshape(per_degree + (family.dim, family.dim))
+    pn, dpn, ddpn = ln @ p, ln @ dp, ln @ ddp
+    f2, (f1c, f1l), f0, gam = _ode_coefficients(family.weight, ns.reshape(per_degree + (1, 1)))
     f1 = f1c + x[..., None, None] * f1l
     return np.stack([ddpn @ f2, dpn @ f1, pn @ f0, gam @ pn])
 

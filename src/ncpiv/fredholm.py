@@ -40,6 +40,8 @@ __all__ = [
 _DET_FLOOR = 1e-300
 _NYSTROM_BUDGET = 3000
 _IMAG_TOL = 1e-9
+# largest log|det| whose exponential is a finite double
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 _FD_STEP = 1e-4
 # most lower-tail nodes that one evaluation of Phi may take: a long scan
 # grid is covered chunk by chunk, never all at once
@@ -423,6 +425,10 @@ def contour_det(
     rows = dim * size
     red = chat.reshape(rows, -1) @ rl.reshape(-1, rows)
     sign, logabs = np.linalg.slogdet(np.eye(rows) - red)
+    # a gap determinant lies in [0, 1]; one whose exponential overflows
+    # (or a NaN) is lost to cancellation, not a number to print
+    if not logabs < _LOG_FLOAT_MAX:
+        raise ValueError(f"contour determinant is not finite (log|det| = {logabs:.3g})")
     det = sign * np.exp(logabs)
     if abs(det.imag) > _IMAG_TOL * (1.0 + abs(det.real)):
         raise ValueError("determinant has non-negligible imaginary part")

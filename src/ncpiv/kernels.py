@@ -22,11 +22,11 @@ from .families import (
 from .matcore import power_conjugate
 from .quadrature import (
     QuadRule,
+    cauchy_core,
     check_contour_ordering,
-    circle_rule,
     compensated_weights,
+    default_contours,
     gauss_hermite,
-    vline_rule,
 )
 
 __all__ = [
@@ -176,18 +176,19 @@ def cd_double_integral(
 
     x and y are scalars, giving one (N, N) kernel value, or two 1-D
     arrays of equal length k, giving the (k, N, N) values at the point
-    pairs (x_i, y_i).  The contour factors and the (x, y)-free core are
-    built once per call, so a whole grid costs two contractions.
+    pairs (x_i, y_i).  The contour factors are built once per call and
+    the (x, y)-free core once per pair of rules (quadrature.cauchy_core),
+    so a whole grid costs two contractions.  The rules default to
+    quadrature.default_contours().
     """
     n = spec.n
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
     xs, ys, scalar = _point_pairs(x, y)
     xs, ys = np.atleast_1d(xs), np.atleast_1d(ys)
-    if circle is None:
-        circle = circle_rule(1.0)
-    if line is None:
-        line = vline_rule(2.0)
+    default_circle, default_line = default_contours()
+    circle = default_circle if circle is None else circle
+    line = default_line if line is None else line
     check_contour_ordering(circle, line)
     bleft, bright = spec.factors()
 
@@ -205,8 +206,9 @@ def cd_double_integral(
     k = xs.shape[0]
 
     # (w/z)^n = w^n z^{-n} splits into the node factors, so the core
-    # shared by every point is the Cauchy matrix 1/(w - z)
-    core = 1.0 / (w[None, :] - z[:, None])  # (mz,mw)
+    # shared by every point, degree and factor form is the Cauchy matrix
+    # 1/(w - z), which depends on the two rules alone
+    core = cauchy_core(circle, line)  # (mz,mw)
     fz = wz * _ratio_power(1.0 / z, n) * np.exp(-z * z + 2.0 * z * ys[:, None])  # (k,mz)
     fw = ww * _ratio_power(w, n) * np.exp(w * w - 2.0 * xs[:, None] * w)  # (k,mw)
     left = (fz[:, None, None, :] * bl.transpose(1, 2, 0)).reshape(k * dim * p, mz) @ core
@@ -226,55 +228,81 @@ def _points(x):
     return np.atleast_1d(xs), xs.ndim == 0
 
 
-def intrep_loop(family: MOPFamily, n: int, x: float | np.ndarray) -> np.ndarray:
+def _degrees(n):
+    """n as a 1-D integer array of degrees, and whether it was one
+    degree (then the d = 1 case, to be returned without its axis)."""
+    ns = np.asarray(n)
+    if ns.ndim > 1 or ns.dtype.kind not in "iu":
+        raise ValueError("n must be an integer or a 1-D array of integers")
+    return np.atleast_1d(ns), ns.ndim == 0
+
+
+def _squeeze(out: np.ndarray, one_degree: bool, one_point: bool) -> np.ndarray:
+    """A (d, k, N, N) stack without the axes of a single degree or point."""
+    if one_point:
+        out = out[:, 0]
+    return out[0] if one_degree else out
+
+
+# The three integral-representation evaluators below share their shapes:
+# n is one degree or a 1-D array of d degrees, x one point or a 1-D array
+# of k points, and the result is (d, k, N, N) without the axis of a
+# single degree or point.  All degrees come from one pass: one
+# recurrence, one coefficient table, one exponential on the line.
+
+
+def intrep_loop(family: MOPFamily, n: int | np.ndarray, x: float | np.ndarray) -> np.ndarray:
     """P_n(x) T(x) via the loop integral with the closed-form constant:
     contour integral of z^{-J} C_n z^{J} e^{-z^2+2zx} dz / z^{n+1}
     (2J for the quadratic family), taken by residues at z = 0 as
     2 pi i C_ab h_{n + J_a - J_b} with the coefficients h of
-    e^{2xz - z^2} (zero for a negative index).  A scalar x gives one
-    (N, N) value, a 1-D array of k points the (k, N, N) values."""
-    xs, scalar = _points(x)
+    e^{2xz - z^2} (zero for a negative index)."""
+    xs, one_point = _points(x)
+    ns, one_degree = _degrees(n)
     fam = family.weight
-    consts = family_constants(fam, n)
+    consts = np.stack([family_constants(fam, k)["C"] for k in ns.tolist()])  # (d, N, N)
     scale = 1 if fam.kind == "a" else 2
     j = scale * fam.jexp
-    idx = n + j[:, None] - j[None, :]
-    h = _hermite_coeffs(xs, int(idx.max())).T  # (k, deg + 1)
-    out = 2j * np.pi * consts["C"] * np.where(idx >= 0, h[:, idx.clip(0)], 0.0)
-    return out[0] if scalar else out
+    idx = ns[:, None, None] + j[:, None] - j[None, :]  # (d, N, N)
+    h = _hermite_coeffs(xs, int(idx.max()))  # (deg + 1, k)
+    vals = np.moveaxis(h[idx.clip(0)], -1, 1)  # (d, k, N, N)
+    out = 2j * np.pi * consts[:, None] * np.where(idx[:, None] >= 0, vals, 0.0)
+    return _squeeze(out, one_degree, one_point)
 
 
 def intrep_line(
-    family: MOPFamily, n: int, x: float | np.ndarray, line: QuadRule | None = None
+    family: MOPFamily, n: int | np.ndarray, x: float | np.ndarray, line: QuadRule | None = None
 ) -> np.ndarray:
     """P_n(x) T(x) via the vertical-line integral with the closed-form
-    constant: e^{x^2} integral of w^{J} D_n w^{-J} e^{w^2-2xw} w^n dw.
-    A scalar x gives one (N, N) value, a 1-D array of k points the
-    (k, N, N) values."""
-    xs, scalar = _points(x)
+    constant: e^{x^2} integral of w^{J} D_n w^{-J} e^{w^2-2xw} w^n dw,
+    on default_contours()'s line unless a rule is given."""
+    xs, one_point = _points(x)
+    ns, one_degree = _degrees(n)
     fam = family.weight
-    consts = family_constants(fam, n)
+    consts = np.stack([family_constants(fam, k)["D"] for k in ns.tolist()])  # (d, N, N)
     scale = 1 if fam.kind == "a" else 2
     j = scale * fam.jexp
     if line is None:
-        line = vline_rule(2.0)
+        line = default_contours()[1]
     w, ww = line.nodes, line.weights
-    conj = power_conjugate(j, consts["D"], w)  # (mw, N, N)
-    fw = ww * np.exp(w * w - 2.0 * xs[:, None] * w) * _ratio_power(w, n)  # (k, mw)
-    # one sum over the nodes per point: the quadrature sum cancels heavily,
-    # and this keeps each point's summation order that of a scalar call
-    out = np.exp(xs * xs)[:, None, None] * np.einsum("kw,wab->kab", fw, conj)
-    return out[0] if scalar else out
+    conj = power_conjugate(j, consts[:, None], w)  # (d, mw, N, N)
+    powers = np.stack([_ratio_power(w, k) for k in ns.tolist()])  # (d, mw)
+    fw = (ww * np.exp(w * w - 2.0 * xs[:, None] * w)) * powers[:, None, :]  # (d, k, mw)
+    # one sum over the nodes per point and degree: the quadrature sum
+    # cancels heavily, and this keeps each sum's order that of a call
+    # for one point and one degree
+    out = np.exp(xs * xs)[:, None, None] * np.einsum("dkw,dwab->dkab", fw, conj)
+    return _squeeze(out, one_degree, one_point)
 
 
-def polynomial_times_tfactor(family: MOPFamily, n: int, x: float | np.ndarray) -> np.ndarray:
+def polynomial_times_tfactor(family: MOPFamily, n: int | np.ndarray, x: float | np.ndarray) -> np.ndarray:
     """Direct evaluation of P_n(x) T(x), the quantity both integral
-    representations reproduce.  A scalar x gives one (N, N) value, a 1-D
-    array of k points the (k, N, N) values."""
-    xs, scalar = _points(x)
-    p = _monic_values(family, xs, n + 1)[0][n]
-    out = family.normalizers[n] @ p @ tfactor(family.weight, xs)
-    return out[0] if scalar else out
+    representations reproduce."""
+    xs, one_point = _points(x)
+    ns, one_degree = _degrees(n)
+    p = np.stack(_monic_values(family, xs, int(ns.max()) + 1)[0])[ns]  # (d, k, N, N)
+    out = family.normalizers[ns][:, None] @ p @ tfactor(family.weight, xs)
+    return _squeeze(out, one_degree, one_point)
 
 
 def reproducing_residual(

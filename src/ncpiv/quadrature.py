@@ -17,6 +17,8 @@ __all__ = [
     "compensated_weights",
     "circle_rule",
     "vline_rule",
+    "default_contours",
+    "cauchy_core",
     "tail_integral",
     "lower_tail_integral",
     "lower_tail_rule",
@@ -25,6 +27,7 @@ __all__ = [
 ]
 
 DEFAULT_CIRCLE_NODES = 256
+DEFAULT_CIRCLE_RADIUS = 1.0
 DEFAULT_LINE_ABSCISSA = 2.0
 DEFAULT_LINE_NODES = 400
 
@@ -108,6 +111,41 @@ def vline_rule(L: float, T: float | None = None, m: int = DEFAULT_LINE_NODES) ->
     w[0] *= 0.5
     w[-1] *= 0.5
     return QuadRule(nodes=L + 1j * t, weights=1j * w, kind="vline")
+
+
+@lru_cache(maxsize=None)
+def default_contours() -> tuple[QuadRule, QuadRule]:
+    """The default kernel contours, the circle |z| = 1 and the line
+    Re w = 2, built once per process; read-only."""
+    rules = (circle_rule(DEFAULT_CIRCLE_RADIUS), vline_rule(DEFAULT_LINE_ABSCISSA))
+    for rule in rules:
+        rule.nodes.flags.writeable = False
+        rule.weights.flags.writeable = False
+    return rules
+
+
+# Cauchy cores kept per process; one for the default rules (256 x 400
+# complex) takes 1.6 MB
+_CORE_CACHE_SIZE = 4
+
+
+def cauchy_core(circle: QuadRule, line: QuadRule) -> np.ndarray:
+    """The Cauchy matrix 1/(w - z) of the circle nodes z (rows) and the
+    line nodes w (columns).  Read-only, and kept for the last few rule
+    pairs: it is keyed on the node values, so a rule built anew with the
+    same nodes meets the same core and any other rule gets its own."""
+    z = np.asarray(circle.nodes, dtype=complex)
+    w = np.asarray(line.nodes, dtype=complex)
+    return _cauchy_core(z.tobytes(), w.tobytes())
+
+
+@lru_cache(maxsize=_CORE_CACHE_SIZE)
+def _cauchy_core(z: bytes, w: bytes) -> np.ndarray:
+    zs = np.frombuffer(z, dtype=complex)
+    ws = np.frombuffer(w, dtype=complex)
+    core = 1.0 / (ws[None, :] - zs[:, None])
+    core.flags.writeable = False
+    return core
 
 
 def check_contour_ordering(circle: QuadRule, line: QuadRule) -> None:

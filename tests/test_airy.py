@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy
 
+from ncpiv import airy
 from ncpiv.airy import WINDOW, airy_ai, airy_kernel, scaling_limit_error
 from ncpiv.families import WeightFamily, build_family
+from ncpiv.kernels import cd_sum
 
 
 def test_airy_at_zero():
@@ -105,3 +107,30 @@ def test_scaling_limit_rejects_points_outside_box():
     for grid in ([(3.0, 0.0)], [(0.0, 0.5), (0.5, -2.5)], [(float("nan"), 0.0)]):
         with pytest.raises(ValueError, match="outside the supported box"):
             scaling_limit_error(family, 8, grid)
+
+
+def test_airy_target_evaluated_once_per_grid(monkeypatch):
+    # the Airy-kernel target does not depend on the degree: one grid costs
+    # one evaluation per point whatever the number of degrees, and each
+    # degree's errors are those against the per-point target
+    family = build_family(WeightFamily(kind="a", nu=1.0), nmax=32)
+    grid = [(x, y) for x in np.linspace(-1.5, 1.5, 4) for y in np.linspace(-1.4, 1.5, 4)]
+    calls = []
+    orig = airy.airy_kernel
+
+    def counted(x, y):
+        calls.append((x, y))
+        return orig(x, y)
+
+    monkeypatch.setattr(airy, "airy_kernel", counted)
+    airy._airy_target.cache_clear()
+    results = [scaling_limit_error(family, n, grid) for n in (8, 16, 32)]
+    assert len(calls) == len(grid)
+    scaling_limit_error(family, 8, grid[:5])
+    assert len(calls) == len(grid) + 5
+    target = np.array([orig(x, y) for x, y in grid])[:, None, None] * np.eye(2)
+    for n, r in zip((8, 16, 32), results):
+        scale = math.sqrt(2.0) * n ** (1.0 / 6.0)
+        pts = np.array(grid)
+        k = cd_sum(family, n, math.sqrt(2.0 * n) + pts[:, 0] / scale, math.sqrt(2.0 * n) + pts[:, 1] / scale) / scale
+        assert r["sup_error"] == float(np.max(np.abs(k - target)))

@@ -55,6 +55,35 @@ def test_verify_ode_residual_is_relative(family, monkeypatch, capsys):
     assert re.search(r"^ode-residual: max residual \S+ \(tol 1e-08\) FAIL$", capsys.readouterr().out, re.M)
 
 
+@pytest.mark.parametrize("family", ["a", "b"])
+def test_verify_one_pass_prints_the_per_degree_checks(family, capsys):
+    # verify evaluates the integral representations and the ODE terms of
+    # all degrees in one pass; it prints what one call per degree gives
+    from ncpiv import kernels
+    from ncpiv.cli import _rules, _weight
+    from ncpiv.families import build_family, ode_residual, ode_terms
+    from ncpiv.quadrature import gauss_hermite
+
+    for n in range(4, 9):
+        assert main(["verify", "--family", family, "--nu", "0.8", "--n", str(n), "--seed", str(n)]) == EXIT_OK
+        out = capsys.readouterr().out
+        config = RunConfig(family=family, nu=0.8, n=n, seed=n)
+        fam = build_family(_weight(config), max(n, 6), quad=gauss_hermite(config.quad_points))
+        line = _rules(config)[1]
+        xs = np.array([-1.0, 0.0, 0.5, 1.5])
+        errors = []
+        for k in range(1, min(n, 5) + 1):
+            direct = kernels.polynomial_times_tfactor(fam, k, xs)
+            errors += [kernels.intrep_loop(fam, k, xs) - direct, kernels.intrep_line(fam, k, xs, line) - direct]
+        assert f"integral-representations: max residual {np.max(np.abs(errors)):.3e} (tol" in out
+        rel = []
+        for k, x in enumerate(np.random.default_rng(n).uniform(-2, 2, size=(n + 1, 5))):
+            terms = ode_terms(fam, k, x)
+            size = np.max(np.abs(terms), axis=(-2, -1)).sum(axis=0).max()
+            rel.append(np.max(np.abs(ode_residual(fam, k, x, terms))) / size)
+        assert f"ode-residual: max residual {max(rel):.3e} (tol" in out
+
+
 def test_verify_scalar_skips_matrix_checks(capsys):
     code = main(["verify", "--family", "scalar", "--n", "4"])
     out = capsys.readouterr().out
@@ -448,13 +477,36 @@ def test_verify_fails_a_nan_residual(name, monkeypatch, capsys):
     orig = getattr(module, name)
 
     def nan_at_degree_two(family, k, x, *args):
+        # verify evaluates all degrees in one call, degree on the leading
+        # axis; a call for one degree has no such axis
         value = orig(family, k, x, *args)
-        return value * np.nan if k == 2 else value
+        at_two = np.asarray(k) == 2
+        return np.where(at_two.reshape(at_two.shape + (1,) * (value.ndim - at_two.ndim)), np.nan, value)
 
     monkeypatch.setattr(module, name, nan_at_degree_two)
     assert main(["verify", "--family", "a", "--n", "4"]) == EXIT_CHECK_FAILED
     check = "ode-residual" if name == "ode_residual" else "integral-representations"
     assert re.search(rf"^{check}: max residual nan .* FAIL$", capsys.readouterr().out, re.M)
+
+
+def test_fredholm_scan_flags_a_non_finite_contour_det():
+    # at n = 122 the contour route's determinant overflows; under warnings
+    # as errors the scan flags those rows instead of dying in exp
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ncpiv.cli", "fredholm-scan", "--n", "122", "--s-steps", "2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert [float(r["s"]) for r in rows] == [-3.0, 3.0]
+    for row in rows:
+        assert np.isfinite(float(row["det_gram"]))
+        assert row["det_contour"] == ""
+        assert row["error"].startswith("contour determinant is not finite")
 
 
 def test_json_output(tmp_path):

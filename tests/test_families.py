@@ -16,6 +16,7 @@ from ncpiv.families import (
     build_family,
     family_constants,
     ode_residual,
+    ode_terms,
     phi_all,
     phi_deriv,
     phi_deriv2_all,
@@ -223,6 +224,25 @@ def test_ode_residual_on_x_arrays(kind, rng):
         got = ode_residual(family, n, xs)
         assert got.shape == (5, family.dim, family.dim)
         assert np.array_equal(got, np.stack([ode_residual(family, n, float(x)) for x in xs]))
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "scalar"])
+def test_ode_terms_over_degree_arrays(kind, rng):
+    # degree n[i] at the points x[i], all from one recurrence pass: the
+    # terms and the residual are the per-degree calls, bit for bit
+    family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=9)
+    for degrees in (np.arange(9), np.array([6, 0, 3])):
+        for points in ((5,), ()):
+            xs = rng.uniform(-2.0, 2.0, size=degrees.shape + points)
+            terms = ode_terms(family, degrees, xs)
+            assert terms.shape == (4,) + xs.shape + (family.dim, family.dim)
+            per_degree = np.stack([ode_terms(family, int(k), x) for k, x in zip(degrees, xs)], axis=1)
+            assert terms.tobytes() == per_degree.tobytes()
+            resid = ode_residual(family, degrees, xs, terms)
+            assert resid.tobytes() == np.stack([ode_residual(family, int(k), x) for k, x in zip(degrees, xs)]).tobytes()
+            assert resid.tobytes() == ode_residual(family, degrees, xs).tobytes()
+    with pytest.raises(ValueError, match="one row of x per degree"):
+        ode_terms(family, np.arange(3), np.zeros((2, 5)))
 
 
 def test_ode_residual_n0_exact(fam_a):

@@ -397,3 +397,19 @@ def test_contour_det_line_must_pass_right_of_origin(fam_scalar):
     with pytest.raises(ValueError, match="contours intersect ordering"):
         contour_det(fam_scalar, 2, 0.0, line=vline_rule(-0.5))
     assert contour_det(fam_scalar, 2, 0.0, line=vline_rule(0.2)) == pytest.approx(gram_det(fam_scalar, 2, 0.0), abs=1e-10)
+
+
+def test_contour_det_flags_a_determinant_beyond_the_float_range(fam_a, monkeypatch):
+    # a gap determinant lies in [0, 1]: a log|det| whose exponential
+    # overflows, or a NaN, is flagged before exp is taken; a slightly
+    # positive one (det ~ 1 at s near 3) and det = 0 are returned
+    orig = np.linalg.slogdet
+    for logabs in (np.inf, np.nan, 710.0, 1.2e4):
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0 + 0.0j, v))
+        with pytest.raises(ValueError, match="^contour determinant is not finite"):
+            contour_det(fam_a, 3, 0.5)
+    for logabs, det in ((1e-12, math.exp(1e-12)), (700.0, math.exp(700.0)), (-np.inf, 0.0)):
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0 + 0.0j, v))
+        assert contour_det(fam_a, 3, 0.5) == det
+    monkeypatch.setattr(np.linalg, "slogdet", orig)
+    assert 0.0 < contour_det(fam_a, 3, 3.0) <= 1.0 + 1e-12

@@ -21,7 +21,7 @@ from ncpiv.kernels import (
     polynomial_times_tfactor,
     reproducing_residual,
 )
-from ncpiv.quadrature import circle_rule, vline_rule
+from ncpiv.quadrature import _cauchy_core, circle_rule, vline_rule
 
 
 def hermite_kernel(n, x, y):
@@ -237,6 +237,47 @@ def test_integral_representations_on_x_arrays(kind, nu):
             assert f(family, n, xs[:1]).shape == (1, 2, 2)
     with pytest.raises(ValueError, match="1-D"):
         intrep_loop(family, 2, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kind,nu", [("a", 1.0), ("b", 0.7)])
+def test_integral_representations_over_degree_arrays(kind, nu):
+    # an array of degrees gives the stack of the per-degree calls, bit for
+    # bit: one recurrence, one coefficient table and one exponential serve
+    # every degree, and each line sum keeps its order
+    family = build_family(WeightFamily(kind=kind, nu=nu), nmax=8)
+    xs = np.array([-1.0, 0.0, 0.5, 1.5])
+    for line in (None, vline_rule(1.5, T=6.0)):
+        line_args = () if line is None else (line,)
+        for f, args in ((polynomial_times_tfactor, ()), (intrep_loop, ()), (intrep_line, line_args)):
+            for degrees in (np.arange(1, 6), np.array([7, 0, 3])):
+                got = f(family, degrees, xs, *args)
+                per_degree = np.stack([f(family, int(k), xs, *args) for k in degrees])
+                assert got.shape == (degrees.size, 4, 2, 2)
+                assert got.tobytes() == per_degree.tobytes()
+                one_point = f(family, degrees, 0.5, *args)
+                assert one_point.shape == (degrees.size, 2, 2)
+                assert one_point.tobytes() == got[:, 2].tobytes()
+    for bad in (np.array([[1, 2]]), np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="1-D array of integers"):
+            intrep_loop(family, bad, xs)
+
+
+def test_double_integral_takes_the_cached_core(fam_a):
+    # every form, the generic one included, reads the core of its rules
+    # from the cache; a custom rule gets a core of its own
+    spec = KernelSpec(fam_a.weight, 3, form="doubleintA")
+    bleft, bright = contour_factors(fam_a.weight, 3)
+    generic = KernelSpec(fam_a.weight, 3, form="generic", bleft=bleft, bright=bright)
+    cd_double_integral(spec, 0.5, -1.0)
+    hits = _cauchy_core.cache_info().hits
+    first = cd_double_integral(spec, 0.5, -1.0)
+    assert cd_double_integral(generic, 0.5, -1.0).shape == (2, 2)
+    assert _cauchy_core.cache_info().hits == hits + 2
+    circle, line = circle_rule(0.7, m=64), vline_rule(2.5)
+    custom = cd_double_integral(spec, 0.5, -1.0, circle=circle, line=line)
+    assert not np.array_equal(custom, first)
+    assert np.max(np.abs(custom - cd_sum(fam_a, 3, 0.5, -1.0))) < 1e-8
+    assert cd_double_integral(spec, 0.5, -1.0).tobytes() == first.tobytes()
 
 
 def test_intrep_loop_p0_is_identity(fam_a):

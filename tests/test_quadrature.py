@@ -1,17 +1,25 @@
 """Tests of the integration rules: Gauss-Hermite, circle and vertical
 line trapezoids, and the Gaussian-tail integrator."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import integrate, phi
+from ncpiv import fredholm
 from ncpiv.families import WeightFamily, build_family
+from ncpiv.kernels import KernelSpec, cd_double_integral
 from ncpiv.quadrature import (
+    _CORE_CACHE_SIZE,
+    _cauchy_core,
+    cauchy_core,
     check_contour_ordering,
     circle_rule,
     compensated_weights,
+    default_contours,
     gauss_hermite,
     tail_integral,
     vline_rule,
@@ -98,6 +106,69 @@ def test_contour_ordering_guard():
     with pytest.raises(ValueError, match="contours intersect ordering"):
         check_contour_ordering(circle_rule(3.0), vline_rule(2.0))
     check_contour_ordering(circle_rule(1.0), vline_rule(2.0))  # fine
+
+
+def test_default_contours_built_once_and_read_only():
+    circle, line = default_contours()
+    assert default_contours()[0] is circle and default_contours()[1] is line
+    for fresh, rule in ((circle_rule(1.0), circle), (vline_rule(2.0), line)):
+        assert np.array_equal(rule.nodes, fresh.nodes) and np.array_equal(rule.weights, fresh.weights)
+        with pytest.raises(ValueError, match="read-only"):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            rule.weights[0] = 0.0
+
+
+def test_cauchy_core_is_cached_bit_equal_and_read_only():
+    circle, line = default_contours()
+    core = cauchy_core(circle, line)
+    assert core.shape == (circle.nodes.size, line.nodes.size)
+    fresh = 1.0 / (line.nodes[None, :] - circle.nodes[:, None])
+    assert core.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        core[0, 0] = 0.0
+    # rules built anew with the same nodes meet the same core
+    assert cauchy_core(circle_rule(1.0), vline_rule(2.0)) is core
+
+
+def test_custom_rule_gets_its_own_core():
+    default = cauchy_core(*default_contours())
+    circle, line = circle_rule(0.7, m=64), vline_rule(2.5)
+    core = cauchy_core(circle, line)
+    assert core.shape == (64, line.nodes.size)
+    assert core.tobytes() == (1.0 / (line.nodes[None, :] - circle.nodes[:, None])).tobytes()
+    # neither rule is mistaken for the default one, and the default core
+    # is unchanged after the custom one was built
+    assert cauchy_core(circle, vline_rule(2.0)).shape == (64, 400)
+    assert cauchy_core(circle_rule(0.7), line).tobytes() != default.tobytes()
+    assert cauchy_core(*default_contours()).tobytes() == default.tobytes()
+
+
+def test_contour_caches_stay_bounded(monkeypatch):
+    # contour_det builds one line rule per s (its truncation depends on
+    # s); none of them may be kept, and the core cache keeps at most
+    # _CORE_CACHE_SIZE cores over any number of distinct rules
+    built = []
+    orig = fredholm.vline_rule
+
+    def recorded(*args, **kwargs):
+        rule = orig(*args, **kwargs)
+        built.append(weakref.ref(rule))
+        return rule
+
+    monkeypatch.setattr(fredholm, "vline_rule", recorded)
+    family = build_family(WeightFamily(kind="a", nu=1.0), nmax=4)
+    for s in np.linspace(-3.0, 3.0, 200):
+        fredholm.contour_det(family, 3, float(s))
+    gc.collect()
+    assert len(built) == 200 and all(ref() is None for ref in built)
+    spec = KernelSpec(family.weight, 2, form="doubleintA")
+    for r in np.linspace(0.3, 1.2, 200):
+        cd_double_integral(spec, 0.5, -0.5, circle=circle_rule(float(r), m=16), line=vline_rule(1.5, m=40))
+    info = _cauchy_core.cache_info()
+    assert info.maxsize == _CORE_CACHE_SIZE and info.currsize <= _CORE_CACHE_SIZE
+    assert default_contours.cache_info().currsize == 1
+    assert circle_rule(1.0) is not circle_rule(1.0)  # the constructors keep nothing
 
 
 def test_tail_integral_half_gaussian():
