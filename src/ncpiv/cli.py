@@ -10,9 +10,7 @@ import functools
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,6 +43,15 @@ _MAX_N = 1000
 _MAX_RULE_NODES = 370
 _RULE_COMMANDS = ("verify", "fredholm-scan")
 _MAX_S_STEPS = 100_000
+
+# The RunConfig fields each subcommand reads.  Its parser offers exactly
+# these options, and every other field keeps its default.
+_OPTIONS = {
+    "verify": ("family", "nu", "n", "quad_points", "radius", "line_re", "line_trunc", "seed"),
+    "fredholm-scan": ("family", "nu", "n", "s_min", "s_max", "s_steps", "line_re", "line_trunc", "out", "format"),
+    "painleve": ("family", "n", "s_min", "s_max", "step", "seed", "out", "format"),
+    "airy": ("family", "nu", "out", "format"),
+}
 
 
 @dataclass(frozen=True)
@@ -96,17 +103,15 @@ class RunConfig:
             raise ValueError("s-steps must be at least 2")
         if self.s_steps > _MAX_S_STEPS:
             raise ValueError(f"s-steps must be at most {_MAX_S_STEPS}")
-        if self.radius >= self.line_re:
-            raise ValueError("contours intersect ordering")
+        # where the radius is read, the circle must lie left of the line;
+        # the scan takes its loop by residues at 0, left of the line
+        if command not in _OPTIONS or "radius" in _OPTIONS[command]:
+            if self.radius >= self.line_re:
+                raise ValueError("contours intersect ordering")
+        elif self.line_re <= 0:
+            raise ValueError("line-re must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NCPIV_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _fmt(x) -> str:
@@ -123,7 +128,7 @@ def _fmt(x) -> str:
 def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
     if config.format == "json":
         text = json.dumps(
-            [{c: (_fmt(r.get(c, "")) if not isinstance(r.get(c, ""), str) else r.get(c, "")) for c in columns} for r in rows],
+            [{c: _fmt(r.get(c, "")) for c in columns} for r in rows],
             indent=2,
         ) + "\n"
     else:
@@ -146,11 +151,9 @@ def _weight(config: RunConfig) -> WeightFamily:
     return WeightFamily(kind=config.family, nu=config.nu, dim=2)
 
 
-def _rules(config: RunConfig):
-    circle = circle_rule(config.radius)
+def _line(config: RunConfig):
     trunc = config.line_trunc if config.line_trunc > 0 else None
-    line = vline_rule(config.line_re, T=trunc)
-    return circle, line
+    return vline_rule(config.line_re, T=trunc)
 
 
 # ---------------------------------------------------------------------
@@ -202,7 +205,7 @@ def cmd_verify(config: RunConfig) -> int:
         checks.append(("integral-representations", "n/a", None, 0.0))
         checks.append(("kernel-equivalence", "n/a", None, 0.0))
     else:
-        circle, line = _rules(config)
+        circle, line = circle_rule(config.radius), _line(config)
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
         degrees = np.arange(1, min(config.n, 5) + 1)
         direct = kernels.polynomial_times_tfactor(family, degrees, xs)
@@ -233,15 +236,11 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
     fam = _weight(config)
     family = build_family(fam, max(config.n, 2) + 1)
     defaults = RunConfig()
-    custom = (config.radius, config.line_re, config.line_trunc) != (
-        defaults.radius,
-        defaults.line_re,
-        defaults.line_trunc,
-    )
-    # with default contour settings let contour_det pick its own line,
+    custom = (config.line_re, config.line_trunc) != (defaults.line_re, defaults.line_trunc)
+    # with default line settings let contour_det pick its own line,
     # whose truncation grows with |s|; rows at strongly negative s still
     # carry the cancellation defect of a tiny det(I - M)
-    circle, line = _rules(config) if custom else (None, None)
+    line = _line(config) if custom else None
     grid = np.linspace(config.s_min, config.s_max, config.s_steps)
 
     # one pass over the grid: each row's Gram factor updates the last one
@@ -250,7 +249,7 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
         out = {"s": s, "error": ""}
         try:
             out["det_gram"] = fredholm.gram_det(family, config.n, s, system=system)
-            out["det_contour"] = fredholm.contour_det(family, config.n, s, circle=circle, line=line)
+            out["det_contour"] = fredholm.contour_det(family, config.n, s, line=line)
             out["R"], out["Rp"], out["Rpp"] = fredholm.log_derivs(system)
             if fam.kind == "scalar":
                 out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, s)
@@ -285,6 +284,11 @@ def random_initial_state(variant: str, n: int, s: float, seed: int) -> painleve.
 def load_initial_state(path: str, s: float) -> painleve.PIVState:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("initial data must be a JSON object")
+    for key in ("y", "z", "zp", "u", "variant", "n"):
+        if key not in data:
+            raise ValueError(f"initial data lacks the key {key!r}")
     return painleve.PIVState(
         s=s,
         y=np.asarray(data["y"], dtype=float),
@@ -349,15 +353,13 @@ def cmd_airy(config: RunConfig, n_list: list[int]) -> int:
     family = build_family(fam, max(n_list))
     grid = [(x, y) for x in np.linspace(-1.5, 1.5, 4) for y in np.linspace(-1.5, 1.5, 4)]
 
-    def row(n: int) -> dict:
+    rows = []
+    for n in n_list:
         try:
             r = airy_mod.scaling_limit_error(family, n, grid)
-            return {"n": n, "sup_error": r["sup_error"], "offdiag_max": r["offdiag_max"], "error": ""}
+            rows.append({"n": n, "sup_error": r["sup_error"], "offdiag_max": r["offdiag_max"], "error": ""})
         except ValueError as exc:
-            return {"n": n, "error": str(exc)}
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(row, n_list))
+            rows.append({"n": n, "error": str(exc)})
     _emit(rows, ["n", "sup_error", "offdiag_max", "error"], config)
     return EXIT_OK
 
@@ -368,14 +370,17 @@ def cmd_airy(config: RunConfig, n_list: list[int]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; every subcommand
-    takes one option per RunConfig field, with the field's default."""
+    """The argument parser, built once per process; each subcommand
+    takes one option per RunConfig field it reads, with the field's
+    default."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     parser = argparse.ArgumentParser(prog="ncpiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "fredholm-scan", "painleve", "airy"):
-        p = sub.add_parser(name)
-        for f in fields(RunConfig):
-            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+    for name, reads in _OPTIONS.items():
+        # no abbreviations: airy --n must not pass for --n-list
+        p = sub.add_parser(name, allow_abbrev=False)
+        for field in reads:
+            p.add_argument("--" + field.replace("_", "-"), type=type(defaults[field]), default=defaults[field])
         if name == "painleve":
             p.add_argument("--initial", default="", help="JSON file with y, z, zp, u, variant, n")
         if name == "airy":
@@ -384,7 +389,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    return RunConfig(**{field: getattr(args, field) for field in _OPTIONS[args.command]})
 
 
 def main(argv: list[str] | None = None) -> int:

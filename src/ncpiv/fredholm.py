@@ -18,7 +18,6 @@ from .quadrature import (
     PANEL_ORDER,
     TAIL_DEPTH,
     QuadRule,
-    check_contour_ordering,
     gauss_hermite,
     panel_rule,
     tail_integral,
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 _DET_FLOOR = 1e-300
-_NYSTROM_BUDGET = 3000
 _IMAG_TOL = 1e-9
 # largest log|det| whose exponential is a finite double
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
@@ -368,7 +366,6 @@ def contour_det(
     family: MOPFamily,
     n: int,
     s: float,
-    circle: QuadRule | None = None,
     line: QuadRule | None = None,
 ) -> float:
     """Gap determinant via the composed contour kernel: Nystrom
@@ -381,8 +378,8 @@ def contour_det(
     determinant.  The loop integral is taken by residues, so the
     determinant is taken of a reduced matrix of N (n - min e) rows
     (n for the scalar family, 2 (n + 1) for kind a, 2 (n + 2) for
-    kind b), never of the full Nystrom matrix.  A given circle only
-    certifies that z = 0 is the one pole inside the loop.
+    kind b), never of the full Nystrom matrix.  The line must pass
+    right of z = 0, the one pole inside the loop.
     """
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
@@ -391,14 +388,10 @@ def contour_det(
         # the endpoints
         ell = 0.5
         line = vline_rule(ell, T=np.sqrt(ell * ell + 4.0 * abs(s) * ell + 80.0))
-    if circle is not None:
-        check_contour_ordering(circle, line)
-    elif np.min(line.nodes.real) <= 0.0:
+    if np.min(line.nodes.real) <= 0.0:
         raise ValueError("contours intersect ordering")
     dim = family.dim
     lam, wl = line.nodes, line.weights
-    if lam.size * dim > _NYSTROM_BUDGET:
-        raise ValueError("budget exceeded")
 
     # Both contour factors are Laurent monomials, Bfac(z)[a, q] =
     # B_aq z^{e_aq} and Bhat(w)[q, b] = Bhat_qb w^{-e_bq}.  The line

@@ -304,8 +304,6 @@ def test_criterion_12_cli_determinism(tmp_path):
         "1",
         "--s-steps",
         "5",
-        "--seed",
-        "7",
     ]
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert cli_main(args + ["--out", str(out1)]) == 0

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface: exit codes, output
 format contracts, and determinism."""
 
+import argparse
 import csv
+import io
 import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +63,7 @@ def test_verify_one_pass_prints_the_per_degree_checks(family, capsys):
     # verify evaluates the integral representations and the ODE terms of
     # all degrees in one pass; it prints what one call per degree gives
     from ncpiv import kernels
-    from ncpiv.cli import _rules, _weight
+    from ncpiv.cli import _line, _weight
     from ncpiv.families import build_family, ode_residual, ode_terms
     from ncpiv.quadrature import gauss_hermite
 
@@ -69,7 +72,7 @@ def test_verify_one_pass_prints_the_per_degree_checks(family, capsys):
         out = capsys.readouterr().out
         config = RunConfig(family=family, nu=0.8, n=n, seed=n)
         fam = build_family(_weight(config), max(n, 6), quad=gauss_hermite(config.quad_points))
-        line = _rules(config)[1]
+        line = _line(config)
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
         errors = []
         for k in range(1, min(n, 5) + 1):
@@ -92,21 +95,64 @@ def test_verify_scalar_skips_matrix_checks(capsys):
 
 
 def test_bad_contour_config_is_usage_error(capsys):
-    code = main(["fredholm-scan", "--radius", "3", "--line-re", "2"])
+    # verify reads both contours: the circle must lie left of the line
+    code = main(["verify", "--radius", "3", "--line-re", "2"])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "contours intersect ordering" in err
 
 
-def test_fredholm_scan_radius_only_checks_ordering(capsys):
-    # the loop integral is taken by residues: the radius must clear the
-    # line, but does not change the output
-    outs = []
-    for radius in ("0.3", "0.6"):
-        argv = ["fredholm-scan", "--family", "a", "--n", "3", "--s-min", "-2", "--s-max", "2", "--s-steps", "5"]
-        assert main(argv + ["--radius", radius, "--line-re", "1.0"]) == EXIT_OK
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+def test_each_subcommand_takes_the_options_it_reads(capsys):
+    # the parser offers each subcommand the RunConfig fields of its row
+    # of the table, plus --initial (painleve) and --n-list (airy): 32
+    # option slots; every other field is a usage error
+    from ncpiv.cli import _OPTIONS, _parser
+
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_OPTIONS)
+    extra = {"painleve": {"--initial"}, "airy": {"--n-list"}}
+    slots = 0
+    for name, reads in _OPTIONS.items():
+        offered = {o for a in sub.choices[name]._actions for o in a.option_strings} - {"-h", "--help"}
+        assert offered == {"--" + f.replace("_", "-") for f in reads} | extra.get(name, set())
+        slots += len(offered)
+        for f in fields(RunConfig):
+            if f.name not in reads:
+                assert main([name, "--" + f.name.replace("_", "-"), "1"]) == EXIT_USAGE
+    assert slots == 32
+    for argv in (
+        ["verify", "--out", "f"],
+        ["fredholm-scan", "--radius", "0.5"],
+        ["fredholm-scan", "--quad-points", "300"],
+        ["painleve", "--nu", "2"],
+        ["airy", "--n", "8"],
+    ):
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fredholm_scan_line_re_alone_sets_the_line(capsys):
+    # the scan reads no radius: --line-re alone puts every row's contour
+    # determinant on that line, as --radius 0.3 --line-re 0.8 once did
+    from ncpiv.families import WeightFamily, build_family
+    from ncpiv.fredholm import contour_det
+    from ncpiv.quadrature import vline_rule
+
+    argv = ["fredholm-scan", "--family", "a", "--n", "3", "--s-min", "-2", "--s-max", "2", "--s-steps", "5"]
+    assert main(argv) == EXIT_OK
+    default = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert main(argv + ["--line-re", "0.8"]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    family = build_family(WeightFamily(kind="a", nu=1.0), 4)
+    line = vline_rule(0.8)
+    for row in rows:
+        assert float(row["det_contour"]) == contour_det(family, 3, float(row["s"]), line=line)
+    assert [r["det_contour"] for r in rows] != [r["det_contour"] for r in default]
+    assert [r["det_gram"] for r in rows] == [r["det_gram"] for r in default]
+    # a line at or left of 0 cannot carry the residue at 0
+    for bad in ("0", "-1"):
+        assert main(argv + ["--line-re", bad]) == EXIT_USAGE
+        assert "line-re must be positive" in capsys.readouterr().err
 
 
 def test_unknown_family_is_usage_error():
@@ -367,6 +413,35 @@ def test_painleve_blowup_is_recorded_not_fatal(tmp_path):
     assert "singularity encountered at s=" in rows[-1][-1]
 
 
+_INITIAL = {
+    "y": [[1.0, 0.0], [0.0, 1.0]],
+    "z": [[0.1, 0.0], [0.0, -0.2]],
+    "zp": [[0.0, 0.0], [0.0, 0.1]],
+    "u": [[0.3, 0.0], [0.0, -0.1]],
+    "variant": "a",
+    "n": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({k: v for k, v in _INITIAL.items() if k != "zp"}, "initial data lacks the key 'zp'"),
+        ([1, 2], "initial data must be a JSON object"),
+    ],
+    ids=["missing-key", "not-an-object"],
+)
+def test_painleve_bad_initial_data_is_usage_error(data, message, tmp_path, capsys):
+    # bad input exits 2 with its reason, not 1 (a failed check) with a
+    # traceback
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(data))
+    assert main(["painleve", "--s-min", "0", "--s-max", "0.1", "--initial", str(init)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    init.write_text(json.dumps(_INITIAL))
+    assert main(["painleve", "--s-min", "0", "--s-max", "0.1", "--initial", str(init)]) == EXIT_OK
+
+
 def test_painleve_pole_flag_names_s(tmp_path):
     # the README command: y turns singular inside an RK stage near s = 0.89
     out = tmp_path / "traj.csv"
@@ -403,12 +478,9 @@ def test_airy_bad_degree_is_usage_error():
     ],
     ids=["painleve", "fredholm-scan", "airy"],
 )
-def test_determinism_byte_identical(args, tmp_path, monkeypatch):
-    # the airy rows run on the NCPIV_THREADS pool; the scan runs in order
+def test_determinism_byte_identical(args, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("NCPIV_THREADS", "1")
     assert main(args + ["--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("NCPIV_THREADS", "4")
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -445,7 +517,7 @@ def test_runconfig_validation():
     assert main(["fredholm-scan", "--n", "0"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--nu", "nan"]) == EXIT_USAGE
     assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
-    assert main(["fredholm-scan", "--quad-points", "5"]) == EXIT_USAGE
+    assert main(["verify", "--quad-points", "5"]) == EXIT_USAGE
     # too large a size is a usage error, raised before anything is built
     assert main(["verify", "--quad-points", "100000000"]) == EXIT_USAGE
     assert main(["fredholm-scan", "--n", "100000000"]) == EXIT_USAGE

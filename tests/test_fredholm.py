@@ -22,7 +22,7 @@ from ncpiv.fredholm import (
     sigma_piv_residual,
     upper_tail_gram,
 )
-from ncpiv.quadrature import circle_rule, vline_rule
+from ncpiv.quadrature import vline_rule
 
 
 def erf_gap(s):
@@ -314,9 +314,9 @@ def test_contour_route_log_det_agreement(fam_a, fam_b, fam_scalar):
 
 
 def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
-    # with the default rules the determinant is taken of a matrix of at
+    # with the default line the determinant is taken of a matrix of at
     # most 64 p rows (p = 1, 2, 3 contour-factor columns), never of the
-    # 400 N Nystrom matrix; 64 circle nodes agree with 256
+    # 400 N Nystrom matrix
     shapes = []
     slogdet = np.linalg.slogdet
 
@@ -328,22 +328,10 @@ def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
     for family, p in ((fam_scalar, 1), (fam_a, 2), (fam_b, 3)):
         for s in (0.0, 1.0):
             shapes.clear()
-            det = contour_det(family, 3, s)
+            contour_det(family, 3, s)
             assert len(shapes) == 1
             rows, cols = shapes[0]
             assert rows == cols <= 64 * p
-            fine = contour_det(family, 3, s, circle=circle_rule(0.25, 256))
-            assert abs(math.log(det) - math.log(fine)) <= 1e-10
-
-
-def test_contour_det_independent_of_circle(fam_a, fam_b, fam_scalar):
-    # the loop integral is taken by residues at z = 0, so the circle only
-    # certifies the pole structure and cannot move a single bit
-    for family in (fam_scalar, fam_a, fam_b):
-        for n, s in ((2, -2.0), (4, 0.5)):
-            ref = contour_det(family, n, s)
-            for circle in (circle_rule(0.1), circle_rule(0.25), circle_rule(0.45, m=16)):
-                assert contour_det(family, n, s, circle=circle) == ref
 
 
 def test_contour_det_residue_size(monkeypatch, fam_a, fam_b, fam_scalar):
@@ -381,19 +369,8 @@ def test_contour_det_rejects_degree_zero(fam_a):
         contour_det(fam_a, 0, 0.0)
 
 
-def test_contour_det_budget(fam_a):
-    big_line = vline_rule(0.5, m=1600)
-    with pytest.raises(ValueError, match="budget exceeded"):
-        contour_det(fam_a, 2, 0.0, circle=circle_rule(0.25), line=big_line)
-
-
-def test_contour_det_ordering_guard(fam_a):
-    with pytest.raises(ValueError, match="contours intersect ordering"):
-        contour_det(fam_a, 2, 0.0, circle=circle_rule(3.0), line=vline_rule(2.0))
-
-
 def test_contour_det_line_must_pass_right_of_origin(fam_scalar):
-    # without a circle the residue at z = 0 needs a line with Re > 0
+    # the residue at z = 0 needs a line with Re > 0
     with pytest.raises(ValueError, match="contours intersect ordering"):
         contour_det(fam_scalar, 2, 0.0, line=vline_rule(-0.5))
     assert contour_det(fam_scalar, 2, 0.0, line=vline_rule(0.2)) == pytest.approx(gram_det(fam_scalar, 2, 0.0), abs=1e-10)
