@@ -48,7 +48,7 @@ _MAX_S_STEPS = 100_000
 # these options, and every other field keeps its default.
 _OPTIONS = {
     "verify": ("family", "nu", "n", "quad_points", "radius", "line_re", "line_trunc", "seed"),
-    "fredholm-scan": ("family", "nu", "n", "s_min", "s_max", "s_steps", "line_re", "line_trunc", "out", "format"),
+    "fredholm-scan": ("family", "nu", "n", "s_min", "s_max", "s_steps", "out", "format"),
     "painleve": ("family", "n", "s_min", "s_max", "step", "seed", "out", "format"),
     "airy": ("family", "nu", "out", "format"),
 }
@@ -103,13 +103,10 @@ class RunConfig:
             raise ValueError("s-steps must be at least 2")
         if self.s_steps > _MAX_S_STEPS:
             raise ValueError(f"s-steps must be at most {_MAX_S_STEPS}")
-        # where the radius is read, the circle must lie left of the line;
-        # the scan takes its loop by residues at 0, left of the line
+        # where the radius is read, the circle must lie left of the line
         if command not in _OPTIONS or "radius" in _OPTIONS[command]:
             if self.radius >= self.line_re:
                 raise ValueError("contours intersect ordering")
-        elif self.line_re <= 0:
-            raise ValueError("line-re must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -235,12 +232,6 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_fredholm_scan(config: RunConfig) -> int:
     fam = _weight(config)
     family = build_family(fam, max(config.n, 2) + 1)
-    defaults = RunConfig()
-    custom = (config.line_re, config.line_trunc) != (defaults.line_re, defaults.line_trunc)
-    # with default line settings let contour_det pick its own line,
-    # whose truncation grows with |s|; rows at strongly negative s still
-    # carry the cancellation defect of a tiny det(I - M)
-    line = _line(config) if custom else None
     grid = np.linspace(config.s_min, config.s_max, config.s_steps)
 
     # one pass over the grid: each row's Gram factor updates the last one
@@ -249,7 +240,7 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
         out = {"s": s, "error": ""}
         try:
             out["det_gram"] = fredholm.gram_det(family, config.n, s, system=system)
-            out["det_contour"] = fredholm.contour_det(family, config.n, s, line=line)
+            out["det_contour"] = fredholm.contour_det(family, config.n, s)
             out["R"], out["Rp"], out["Rpp"] = fredholm.log_derivs(system)
             if fam.kind == "scalar":
                 out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, s)
@@ -289,15 +280,14 @@ def load_initial_state(path: str, s: float) -> painleve.PIVState:
     for key in ("y", "z", "zp", "u", "variant", "n"):
         if key not in data:
             raise ValueError(f"initial data lacks the key {key!r}")
-    return painleve.PIVState(
-        s=s,
-        y=np.asarray(data["y"], dtype=float),
-        z=np.asarray(data["z"], dtype=float),
-        zp=np.asarray(data["zp"], dtype=float),
-        u=np.asarray(data["u"], dtype=float),
-        variant=data["variant"],
-        n=int(data["n"]),
-    )
+    values = {}
+    for key in ("y", "z", "zp", "u", "n"):
+        try:
+            values[key] = int(data[key]) if key == "n" else np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError):
+            kind = "an integer" if key == "n" else "a matrix of numbers"
+            raise ValueError(f"initial data {key!r} must be {kind}") from None
+    return painleve.PIVState(s=s, variant=data["variant"], **values)
 
 
 def cmd_painleve(config: RunConfig, initial: str = "") -> int:

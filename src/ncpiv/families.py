@@ -16,7 +16,10 @@ moment determinants break down.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -406,10 +409,14 @@ def ode_residual(family: MOPFamily, n: int, x, terms: np.ndarray | None = None) 
     return t[0] + t[1] + t[2] - t[3]
 
 
-def family_constants(fam: WeightFamily, n: int) -> dict:
+@lru_cache(maxsize=256)
+def family_constants(fam: WeightFamily, n: int) -> Mapping[str, np.ndarray]:
     """Closed-form contour-representation constants of the two 2x2
     families: C_n, D_n for the loop/line integral representations, the
-    kernel factor B_n (and its right inverse), and the norm matrix."""
+    kernel factor B_n (and its right inverse), and the norm matrix.
+    Computed once per (family, n) and handed out read-only: a verify op
+    asks for them about 17 times, and the contour determinant once per
+    row."""
     if fam.kind == "scalar":
         raise ValueError("no matrix constants")
     if fam.dim != 2:
@@ -447,4 +454,7 @@ def family_constants(fam: WeightFamily, n: int) -> dict:
             ]
         )
         norm = fac * np.diag([d2(n + 2), 1.0 / d2(n)])
-    return {"C": cn, "D": dn, "B": bn, "Bhat": bhat, "norm": norm}
+    consts = {"C": cn, "D": dn, "B": bn, "Bhat": bhat, "norm": norm}
+    for value in consts.values():
+        value.flags.writeable = False
+    return MappingProxyType(consts)

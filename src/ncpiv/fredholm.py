@@ -5,6 +5,7 @@ Nystrom), analytic log-derivatives, and the scalar sigma-PIV residual.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -13,7 +14,7 @@ import mpmath as mp
 import numpy as np
 
 from .families import MOPFamily, _phi_jet, phi_all
-from .kernels import _hermite_coeffs, _laurent_data
+from .kernels import _laurent_data
 from .quadrature import (
     PANEL_ORDER,
     TAIL_DEPTH,
@@ -21,7 +22,6 @@ from .quadrature import (
     gauss_hermite,
     panel_rule,
     tail_integral,
-    vline_rule,
 )
 
 __all__ = [
@@ -37,7 +37,11 @@ __all__ = [
 ]
 
 _DET_FLOOR = 1e-300
-_IMAG_TOL = 1e-9
+# unit roundoff of double arithmetic
+_U = 2.0**-53
+# largest running-error estimate of log det at which the contour route
+# prints its determinant
+_EST_TOL = 1e-8
 # largest log|det| whose exponential is a finite double
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 _FD_STEP = 1e-4
@@ -76,9 +80,12 @@ def build_grams(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
     order, from one pass over one panel set.
 
     Gauss-Legendre panels of width at most 1 cover
-    [min(s_0, 0) - TAIL_DEPTH, s_last] with a panel edge at every grid
-    point.  H(s_k) = H(s_{k-1}) + int_{s_{k-1}}^{s_k} Phi Phi^T, so the
-    factor is updated interval by interval as C_k = qr([C_{k-1}; F_k]),
+    [min(s_0, 0) - depth, s_last] with a panel edge at every grid point.
+    The depth reaches past the turning point sqrt(2n + 1) of the highest
+    Phi_k, beyond which Phi_k decays like a Gaussian: a fixed TAIL_DEPTH
+    cuts off their mass from n ~ 50 on.
+    H(s_k) = H(s_{k-1}) + int_{s_{k-1}}^{s_k} Phi Phi^T, so the factor is
+    updated interval by interval as C_k = qr([C_{k-1}; F_k]),
     F_k the weighted samples of the panels in (s_{k-1}, s_k]: a
     backward-stable update, which keeps the relative accuracy of the
     one-shot factorization.  Phi is evaluated on at most _CHUNK_NODES
@@ -90,7 +97,8 @@ def build_grams(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
     if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0.0):
         raise ValueError("grid must be a nonempty, finite, nondecreasing sequence")
     cols = n * family.dim
-    edges = np.concatenate(([min(grid[0], 0.0) - TAIL_DEPTH], grid))
+    depth = max(TAIL_DEPTH, math.sqrt(2 * n + 1) + 5.0)
+    edges = np.concatenate(([min(grid[0], 0.0) - depth], grid))
     widths = np.diff(edges)
     counts = np.where(widths > 0.0, np.maximum(1.0, np.ceil(widths)), 0.0).astype(np.int64)
     ends = np.cumsum(counts)  # panels of intervals 0..k end before ends[k]
@@ -362,67 +370,135 @@ def sigma_piv_residual(family: MOPFamily, n: int, s: float) -> float:
         return float(resid)
 
 
-def contour_det(
-    family: MOPFamily,
-    n: int,
-    s: float,
-    line: QuadRule | None = None,
-) -> float:
-    """Gap determinant via the composed contour kernel: Nystrom
-    discretization on the vertical line of
+def _three_term(y0: float, e0: float, y1: float, e1: float, coeffs) -> tuple[list, list]:
+    """y_0, y_1, ... of the recurrence y_{j+1} = a_j y_j + b_j y_{j-1},
+    one (a_j, b_j) per step, with a running error estimate on each: the
+    errors e0, e1 of the start values carried forward, plus one unit
+    roundoff of each step's two terms, to first order as in Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3."""
+    ys, es = [y0, y1], [e0, e1]
+    for a, b in coeffs:
+        p, q = a * ys[-1], b * ys[-2]
+        ys.append(p + q)
+        es.append(abs(a) * es[-1] + abs(b) * es[-2] + _U * (abs(p) + abs(q)))
+    return ys, es
+
+
+def _line_moments(s: float, kmin: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The line moments M_k(s) = (2 pi i)^{-1} int lam^k e^{lam^2 - 2 s lam}
+    dlam, taken upward along any vertical line right of lam = 0, for
+    k = kmin..kmax (kmin <= -1), with a running error estimate on each.
+
+    M_0 = e^{-s^2} / (2 sqrt(pi)) and M_{-1} = erfc(s) / 2, and
+    integration by parts gives k M_{k-1} - 2 s M_k + 2 M_{k+1} = 0, run
+    up from M_0 and down from M_{-1}.  The down direction computes
+    M_{-k-1} = 2^{k-1} i^k erfc(s), the repeated erfc integrals, forward
+    in k: for s > 0 that is their unstable direction (Gautschi, SIAM Rev.
+    1967), and the error estimate grows with the depth there."""
+    m0 = math.exp(-s * s) / (2.0 * math.sqrt(math.pi))
+    m1 = 0.5 * math.erfc(s)
+    # one rounding plus that of s^2 in the exponent of e^{-s^2}, which
+    # erfc(s) carries as a factor for s > 0
+    e0, e1 = (s * s + 1.0) * _U * m0, (max(s, 0.0) * s + 1.0) * _U * m1
+    up, up_err = _three_term(m1, e1, m0, e0, ((s, -0.5 * k) for k in range(max(kmax, 0))))
+    down, down_err = _three_term(m0, e0, m1, e1, ((2.0 * s / k, -2.0 / k) for k in range(-1, kmin, -1)))
+    # down holds M_0, M_-1, ..., M_kmin and up M_-1, M_0, ..., M_max(kmax, 0)
+    count = kmax - kmin + 1
+    mom = (down[:0:-1] + up[1:])[:count]
+    err = (down_err[:0:-1] + up_err[1:])[:count]
+    return np.array(mom), np.array(err)
+
+
+def _hermite_terms(s: float, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients h_0..h_deg of e^{2sz - z^2} in z, H_p(s)/p!,
+    by h_p = (2s h_{p-1} - 2 h_{p-2}) / p, with a running error estimate on
+    each: near the zeros of H_p the recurrence cancels."""
+    h, err = _three_term(1.0, 0.0, 2.0 * s, 0.0, ((2.0 * s / p, -2.0 / p) for p in range(2, deg + 1)))
+    return np.array(h[: deg + 1]), np.array(err[: deg + 1])
+
+
+def contour_det(family: MOPFamily, n: int, s: float) -> float:
+    """Gap determinant via the composed contour kernel
 
         K(lam, w) = oint dz/(2 pi i)^2 e^{w^2 - z^2 + 2 s (z - lam)}
                     (w/z)^n Bfac(z) Bhat(w) / ((lam - z)(w - z)),
 
-    returning det(Id - [K(lam_i, lam_j) w_j]).  Equals the Gram-route
-    determinant.  The loop integral is taken by residues, so the
-    determinant is taken of a reduced matrix of N (n - min e) rows
-    (n for the scalar family, 2 (n + 1) for kind a, 2 (n + 2) for
-    kind b), never of the full Nystrom matrix.  The line must pass
-    right of z = 0, the one pole inside the loop.
+    lam and w on a vertical line right of the loop around z = 0:
+    det(Id - K) on the line, which equals the Gram-route determinant.
+    Both integrals are taken in closed form, so the determinant is that
+    of a real reduced matrix of N (n - min e) rows (n for the scalar
+    family, 2 (n + 1) for kind a, 2 (n + 2) for kind b).
+
+    ValueError("contour route unreliable (est ...)") where the running
+    error estimate of log det exceeds 1e-8: in the lower tail the
+    reduced determinant is ill-conditioned with respect to its O(1)
+    data (compare Bornemann, Math. Comp. 79, 2010), and for s > 0 at
+    large n the moments lose accuracy (_line_moments).
     """
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
-    if line is None:
-        # truncation long enough that e^{lam^2 - 2 s lam} has decayed at
-        # the endpoints
-        ell = 0.5
-        line = vline_rule(ell, T=np.sqrt(ell * ell + 4.0 * abs(s) * ell + 80.0))
-    if np.min(line.nodes.real) <= 0.0:
-        raise ValueError("contours intersect ordering")
     dim = family.dim
-    lam, wl = line.nodes, line.weights
 
     # Both contour factors are Laurent monomials, Bfac(z)[a, q] =
-    # B_aq z^{e_aq} and Bhat(w)[q, b] = Bhat_qb w^{-e_bq}.  The line
-    # nodes lie outside the loop, so with 1/(lam - z) = sum_alpha
-    # z^alpha lam^{-alpha-1} the loop integral is the residue at z = 0,
-    # a finite sum over the coefficients h_p of e^{2sz - z^2}, and the
-    # Nystrom matrix factors as L Chat R with
+    # B_aq z^{e_aq} and Bhat(w)[q, b] = Bhat_qb w^{-e_bq}.  The line lies
+    # outside the loop, so with 1/(lam - z) = sum_alpha z^alpha
+    # lam^{-alpha-1} the loop integral is the residue at z = 0, a finite
+    # sum over the coefficients h_p of e^{2sz - z^2}, and the Nystrom
+    # operator factors as L Chat R with
     #     Chat[(a,alpha),(q,beta)] = B_aq h[n - 1 - e_aq - alpha - beta],
-    #     (R L)[(q,beta),(a,alpha)] = Bhat_qa mom[n - 2 - e_aq - alpha - beta],
-    # where mom[k] = sum_j lam_j^k w_j e^{lam_j^2 - 2 s lam_j} / (2 pi i)
-    # are moments on the line; det(I - L Chat R) = det(I - Chat (R L)).
+    #     (R L)[(q,beta),(a,alpha)] = Bhat_qa M[n - 2 - e_aq - alpha - beta],
+    # M_k the line moments; det(I - L Chat R) = det(I - Chat (R L)).
+    # For the scalar family Chat (R L) = I + Chat (R L)~ exactly, where
+    # (R L)~ takes the moments M~_k(s) = (-1)^k M_k(-s) of a line left
+    # of 0 (M_k less its residue at 0, which makes the inverse Hankel
+    # matrix of Chat): det(I - X) = det(-Chat (R L)~).  For s < 0 these
+    # moments are small where M_k is near its residue, so the identity
+    # never cancels against X.
     bn, bhat, dl, dr = _laurent_data(family.weight, n)
+    left = dim == 1 and s < 0.0
     e = dl[:, None] - dr[None, :]  # (N, p)
     size = n - int(e.min())
-    h = _hermite_coeffs(s, size - 1)
+    h, herr = _hermite_terms(s, size - 1)
     ab = np.add.outer(np.arange(size), np.arange(size))
     hidx = n - 1 - e[:, None, :, None] - ab[None, :, None, :]  # (a, alpha, q, beta)
-    chat = bn[:, None, :, None] * np.where(hidx >= 0, h[hidx.clip(0)], 0.0)
+    bfac = np.where(hidx >= 0, bn[:, None, :, None], 0.0)
+    hidx = hidx.clip(0)
     midx = n - 2 - e.T[:, None, :, None] - ab[None, :, None, :]  # (q, beta, a, alpha)
     kmin = int(midx.min())
-    t = wl * np.exp(lam * lam - 2.0 * s * lam) / (2j * np.pi)
-    mom = lam[None, :] ** np.arange(kmin, int(midx.max()) + 1)[:, None] @ t
-    rl = bhat[:, None, :, None] * mom[midx - kmin]
+    midx = midx - kmin
+    mom, err = _line_moments(-s if left else s, kmin, int(midx.max()) + kmin)
+    if left:
+        mom = mom * (-1.0) ** np.arange(kmin, kmin + mom.size)
     rows = dim * size
-    red = chat.reshape(rows, -1) @ rl.reshape(-1, rows)
-    sign, logabs = np.linalg.slogdet(np.eye(rows) - red)
+    bhfac = np.broadcast_to(bhat[:, None, :, None], midx.shape).reshape(-1, rows)
+    chat, rl = (bfac * h[hidx]).reshape(rows, -1), bhfac * mom[midx].reshape(-1, rows)
+    mat = -(chat @ rl) if left else np.eye(rows) - chat @ rl
+    sign, logabs = np.linalg.slogdet(mat)
     # a gap determinant lies in [0, 1]; one whose exponential overflows
     # (or a NaN) is lost to cancellation, not a number to print
     if not logabs < _LOG_FLOAT_MAX:
         raise ValueError(f"contour determinant is not finite (log|det| = {logabs:.3g})")
-    det = sign * np.exp(logabs)
-    if abs(det.imag) > _IMAG_TOL * (1.0 + abs(det.real)):
-        raise ValueError("determinant has non-negligible imaginary part")
-    return float(det.real)
+    # An error dA of A = mat moves log det A by log det(I + E), with
+    # E = A^{-1} dA, so by tr E to first order.  Each h_p and M_k enters
+    # many entries of Chat and RL with one shared error, so its share of
+    # tr E is its error times the summed sensitivity of those entries;
+    # the rounding of the product adds u |Chat| |RL| entrywise.  A highly
+    # non-normal A can hide a large E behind a small trace: with |E| <= M
+    # entrywise and mu = ||M||_inf < 1, the terms of order 2 and up are
+    # at most rows mu^2 / (2 (1 - mu)).
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        # det(mat) cancelled or underflowed to exactly 0: no relative accuracy
+        raise ValueError("contour route unreliable (est inf)") from None
+    absinv = np.abs(inv)
+    d_mom = np.bincount(midx.ravel(), weights=(bhfac * (inv @ chat).T).ravel(), minlength=mom.size)
+    d_h = np.bincount(hidx.ravel(), weights=(bfac.reshape(rows, -1) * (rl @ inv).T).ravel(), minlength=h.size)
+    est = _U * float(np.sum(absinv.T * (np.abs(chat) @ np.abs(rl)))) + np.abs(d_mom) @ err + np.abs(d_h) @ herr
+    drl = np.abs(bhfac) * err[midx].reshape(-1, rows)
+    dchat = (np.abs(bfac) * herr[hidx]).reshape(rows, -1)
+    mu = float(np.max(np.sum(absinv @ (np.abs(chat) @ (_U * np.abs(rl) + drl) + dchat @ np.abs(rl)), axis=1)))
+    est = est + rows * mu * mu / (2.0 * (1.0 - mu)) if mu < 1.0 else math.inf
+    if not est <= _EST_TOL:
+        raise ValueError(f"contour route unreliable (est {est:.1e})")
+    return float(sign * np.exp(logabs))

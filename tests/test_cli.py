@@ -104,7 +104,7 @@ def test_bad_contour_config_is_usage_error(capsys):
 
 def test_each_subcommand_takes_the_options_it_reads(capsys):
     # the parser offers each subcommand the RunConfig fields of its row
-    # of the table, plus --initial (painleve) and --n-list (airy): 32
+    # of the table, plus --initial (painleve) and --n-list (airy): 30
     # option slots; every other field is a usage error
     from ncpiv.cli import _OPTIONS, _parser
 
@@ -119,40 +119,18 @@ def test_each_subcommand_takes_the_options_it_reads(capsys):
         for f in fields(RunConfig):
             if f.name not in reads:
                 assert main([name, "--" + f.name.replace("_", "-"), "1"]) == EXIT_USAGE
-    assert slots == 32
+    assert slots == 30
     for argv in (
         ["verify", "--out", "f"],
         ["fredholm-scan", "--radius", "0.5"],
         ["fredholm-scan", "--quad-points", "300"],
+        ["fredholm-scan", "--line-re", "1"],
+        ["fredholm-scan", "--line-trunc", "5"],
         ["painleve", "--nu", "2"],
         ["airy", "--n", "8"],
     ):
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_fredholm_scan_line_re_alone_sets_the_line(capsys):
-    # the scan reads no radius: --line-re alone puts every row's contour
-    # determinant on that line, as --radius 0.3 --line-re 0.8 once did
-    from ncpiv.families import WeightFamily, build_family
-    from ncpiv.fredholm import contour_det
-    from ncpiv.quadrature import vline_rule
-
-    argv = ["fredholm-scan", "--family", "a", "--n", "3", "--s-min", "-2", "--s-max", "2", "--s-steps", "5"]
-    assert main(argv) == EXIT_OK
-    default = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert main(argv + ["--line-re", "0.8"]) == EXIT_OK
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    family = build_family(WeightFamily(kind="a", nu=1.0), 4)
-    line = vline_rule(0.8)
-    for row in rows:
-        assert float(row["det_contour"]) == contour_det(family, 3, float(row["s"]), line=line)
-    assert [r["det_contour"] for r in rows] != [r["det_contour"] for r in default]
-    assert [r["det_gram"] for r in rows] == [r["det_gram"] for r in default]
-    # a line at or left of 0 cannot carry the residue at 0
-    for bad in ("0", "-1"):
-        assert main(argv + ["--line-re", bad]) == EXIT_USAGE
-        assert "line-re must be positive" in capsys.readouterr().err
 
 
 def test_unknown_family_is_usage_error():
@@ -428,8 +406,10 @@ _INITIAL = {
     [
         ({k: v for k, v in _INITIAL.items() if k != "zp"}, "initial data lacks the key 'zp'"),
         ([1, 2], "initial data must be a JSON object"),
+        ({**_INITIAL, "n": [1]}, "initial data 'n' must be an integer"),
+        ({**_INITIAL, "u": {"a": 1}}, "initial data 'u' must be a matrix of numbers"),
     ],
-    ids=["missing-key", "not-an-object"],
+    ids=["missing-key", "not-an-object", "n-not-an-integer", "u-not-a-matrix"],
 )
 def test_painleve_bad_initial_data_is_usage_error(data, message, tmp_path, capsys):
     # bad input exits 2 with its reason, not 1 (a failed check) with a
@@ -562,8 +542,9 @@ def test_verify_fails_a_nan_residual(name, monkeypatch, capsys):
 
 
 def test_fredholm_scan_flags_a_non_finite_contour_det():
-    # at n = 122 the contour route's determinant overflows; under warnings
-    # as errors the scan flags those rows instead of dying in exp
+    # at n = 122 the contour route's determinant overflows at s = -3, and
+    # its moments lose every digit at s = 3; under warnings as errors the
+    # scan flags both rows instead of dying in exp
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "ncpiv.cli", "fredholm-scan", "--n", "122", "--s-steps", "2"],
@@ -578,7 +559,8 @@ def test_fredholm_scan_flags_a_non_finite_contour_det():
     for row in rows:
         assert np.isfinite(float(row["det_gram"]))
         assert row["det_contour"] == ""
-        assert row["error"].startswith("contour determinant is not finite")
+    assert rows[0]["error"].startswith("contour determinant is not finite")
+    assert rows[1]["error"].startswith("contour route unreliable (est ")
 
 
 def test_json_output(tmp_path):

@@ -297,3 +297,17 @@ def test_b_bhat_right_inverse_family_b(n):
 def test_scalar_has_no_matrix_constants():
     with pytest.raises(ValueError, match="no matrix constants"):
         family_constants(WeightFamily(kind="scalar"), 2)
+
+
+def test_constants_are_built_once_and_read_only():
+    # a verify op and every contour-route row ask for the same constants:
+    # one cached mapping per (family, n), which no caller can change
+    fam = WeightFamily(kind="b", nu=0.7)
+    consts = family_constants(fam, 3)
+    assert family_constants(WeightFamily(kind="b", nu=0.7), 3) is consts
+    assert family_constants(fam, 4) is not consts
+    with pytest.raises(TypeError):
+        consts["B"] = np.eye(2)
+    for value in consts.values():
+        with pytest.raises(ValueError, match="read-only"):
+            value[0, 0] = 1.0

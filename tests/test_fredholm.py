@@ -9,6 +9,7 @@ import pytest
 from scipy.special import erf
 
 from ncpiv import fredholm
+from ncpiv.families import WeightFamily, build_family
 from ncpiv.fredholm import (
     _scalar_gram,
     _scalar_log_derivs,
@@ -22,7 +23,6 @@ from ncpiv.fredholm import (
     sigma_piv_residual,
     upper_tail_gram,
 )
-from ncpiv.quadrature import vline_rule
 
 
 def erf_gap(s):
@@ -313,10 +313,20 @@ def test_contour_route_log_det_agreement(fam_a, fam_b, fam_scalar):
                 assert abs(math.log(contour_det(family, n, s)) - ref) <= 1e-8
 
 
+def test_scalar_lower_tail_takes_the_left_line(fam_scalar):
+    # for s < 0 the scalar route drops the identity exactly, det(I - X) =
+    # det(-Chat (R L)~), so a tiny gap probability is resolved to full
+    # relative accuracy where det(I - X) cancelled to 1e-6 (n = 3, s = -3)
+    with mp.workdps(50):
+        for n in (2, 3):
+            for s in (-4.0, -3.0, -2.0):
+                ref = float(mp.log(mp.det(_scalar_gram(n, mp.mpf(s)))))
+                assert abs(math.log(contour_det(fam_scalar, n, s)) - ref) <= 1e-9
+
+
 def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
-    # with the default line the determinant is taken of a matrix of at
-    # most 64 p rows (p = 1, 2, 3 contour-factor columns), never of the
-    # 400 N Nystrom matrix
+    # the determinant is taken of a matrix of at most 64 p rows (p = 1, 2,
+    # 3 contour-factor columns)
     shapes = []
     slogdet = np.linalg.slogdet
 
@@ -369,24 +379,100 @@ def test_contour_det_rejects_degree_zero(fam_a):
         contour_det(fam_a, 0, 0.0)
 
 
-def test_contour_det_line_must_pass_right_of_origin(fam_scalar):
-    # the residue at z = 0 needs a line with Re > 0
-    with pytest.raises(ValueError, match="contours intersect ordering"):
-        contour_det(fam_scalar, 2, 0.0, line=vline_rule(-0.5))
-    assert contour_det(fam_scalar, 2, 0.0, line=vline_rule(0.2)) == pytest.approx(gram_det(fam_scalar, 2, 0.0), abs=1e-10)
-
-
 def test_contour_det_flags_a_determinant_beyond_the_float_range(fam_a, monkeypatch):
     # a gap determinant lies in [0, 1]: a log|det| whose exponential
     # overflows, or a NaN, is flagged before exp is taken; a slightly
     # positive one (det ~ 1 at s near 3) and det = 0 are returned
     orig = np.linalg.slogdet
     for logabs in (np.inf, np.nan, 710.0, 1.2e4):
-        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0 + 0.0j, v))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0, v))
         with pytest.raises(ValueError, match="^contour determinant is not finite"):
             contour_det(fam_a, 3, 0.5)
     for logabs, det in ((1e-12, math.exp(1e-12)), (700.0, math.exp(700.0)), (-np.inf, 0.0)):
-        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0 + 0.0j, v))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0, v))
         assert contour_det(fam_a, 3, 0.5) == det
     monkeypatch.setattr(np.linalg, "slogdet", orig)
     assert 0.0 < contour_det(fam_a, 3, 3.0) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("s", [-3.0, -1.0, 0.0, 0.5, 2.0, 3.0, 5.0, 11.75, 14.0])
+def test_line_moments_match_a_600_digit_recurrence(s):
+    # M_k(s), k = -128..128, and h_p(s), p = 0..128, against the same
+    # closed forms and recurrences at 600 digits: each error estimate
+    # covers its actual error (measured worst 0.76 of it on 69 points of
+    # [-3, 14]), and the estimate stays at rounding level wherever the
+    # recurrence runs in its stable direction
+    depth = 128
+    mom, mom_err = fredholm._line_moments(s, -depth, depth)
+    h, h_err = fredholm._hermite_terms(s, depth)
+    with mp.workdps(600):
+        x = mp.mpf(s)
+        m = {0: mp.exp(-x * x) / (2 * mp.sqrt(mp.pi)), -1: mp.erfc(x) / 2}
+        for k in range(depth):
+            m[k + 1] = x * m[k] - mp.mpf(k) / 2 * m[k - 1]
+        for k in range(-1, -depth, -1):
+            m[k - 1] = (2 * x * m[k] - 2 * m[k + 1]) / k
+        hx = [mp.mpf(1), 2 * x]
+        for p in range(2, depth + 1):
+            hx.append((2 * x * hx[-1] - 2 * hx[-2]) / p)
+        for got, est, exact in ((mom, mom_err, [m[k] for k in range(-depth, depth + 1)]), (h, h_err, hx)):
+            actual = np.array([float(abs(mp.mpf(float(v)) - e)) for v, e in zip(got, exact)])
+            assert np.all(np.isfinite(got)) and np.all(actual <= est)
+        # for s <= 0 the repeated erfc integrals M_-1 .. M_-128 run in their
+        # stable direction, and stay at rounding level
+        if s <= 0.0:
+            scale = np.array([float(abs(m[k])) for k in range(-depth, 0)])
+            assert np.all(mom_err[:depth] <= 1e-13 * scale)
+
+
+def test_gram_route_keeps_the_mass_of_high_degrees():
+    # far right of the spectrum the gap probability is 1; a lower-tail
+    # panel set that starts too close to 0 cuts off the mass of Phi_k
+    # (log det -118.7 at scalar n = 122 with a fixed depth of 12)
+    for weight in (WeightFamily(kind="a", nu=1.0), WeightFamily(kind="b", nu=1.0), WeightFamily(kind="scalar")):
+        family = build_family(weight, 123)
+        for n in (60, 122):
+            assert abs(log_deriv(family, n, 30.0, order=0)) <= 1e-12
+
+
+def test_contour_det_flags_every_value_it_cannot_vouch_for():
+    # on kinds a, b and scalar, n up to 30 and s in [-4, 14], a printed
+    # contour determinant is within 1e-8 of the Gram route in log det;
+    # the rest are flagged (measured: 412 of 1752 rows flagged, the worst
+    # printed one 5.6e-10 off)
+    _assert_flags_cover_the_errors((1, 2, 3, 4, 5, 10, 20, 30), np.linspace(-4.0, 14.0, 73), printed=1200)
+
+
+def test_contour_det_flags_a_vanishing_determinant(fam_a, fam_scalar):
+    # far in the lower tail the reduced matrix is exactly singular in
+    # double arithmetic; its determinant 0 has no relative accuracy
+    for family in (fam_a, fam_scalar):
+        with pytest.raises(ValueError, match=r"^contour route unreliable \(est inf\)$"):
+            contour_det(family, 3, -40.0)
+
+
+def test_contour_det_flags_a_non_normal_reduced_matrix():
+    # near the turning point of the highest degree X has entries of 1e14
+    # while det(I - X) ~ 1: the first-order estimate alone let values up
+    # to 4.8e-4 off through at n = 60 and 90; its second-order term flags
+    # them
+    _assert_flags_cover_the_errors((60, 90), np.linspace(10.0, 15.5, 23), printed=30)
+
+
+def _assert_flags_cover_the_errors(degrees, grid, printed):
+    """Every contour determinant printed for kinds a, b and scalar at
+    these degrees and grid points is within 1e-8 of the Gram route in
+    log det; the rest are flagged; at least ``printed`` are printed."""
+    count = 0
+    for weight in (WeightFamily(kind="a", nu=1.0), WeightFamily(kind="b", nu=1.0), WeightFamily(kind="scalar")):
+        family = build_family(weight, max(degrees) + 1)
+        for n in degrees:
+            for s, system in zip(grid.tolist(), build_grams(family, n, grid)):
+                try:
+                    det = contour_det(family, n, s)
+                except ValueError as exc:
+                    assert str(exc).startswith("contour route unreliable (est ")
+                    continue
+                count += 1
+                assert det > 0.0 and abs(math.log(det) - fredholm._log_det(system)) <= 1e-8
+    assert count >= printed
