@@ -25,7 +25,7 @@ from .families import (
     ode_terms,
     phi_all,
 )
-from .quadrature import circle_rule, gauss_hermite, vline_rule
+from .quadrature import gauss_hermite
 
 __all__ = ["RunConfig", "main"]
 
@@ -43,11 +43,17 @@ _MAX_N = 1000
 _MAX_RULE_NODES = 370
 _RULE_COMMANDS = ("verify", "fredholm-scan")
 _MAX_S_STEPS = 100_000
+# fredholm-scan's panels cover [min(s_min, 0) - depth, s_max], one per
+# unit length, so its time grows with |s| without bound.  Beyond
+# |s| = 100 nothing is left to scan: for every n <= 122 the gap
+# determinant is 1 to rounding above s = 30 and below the 1e-300 floor
+# ("determinant vanishes") under s = -30.
+_MAX_ABS_S = 100.0
 
 # The RunConfig fields each subcommand reads.  Its parser offers exactly
 # these options, and every other field keeps its default.
 _OPTIONS = {
-    "verify": ("family", "nu", "n", "quad_points", "radius", "line_re", "line_trunc", "seed"),
+    "verify": ("family", "nu", "n", "quad_points", "seed"),
     "fredholm-scan": ("family", "nu", "n", "s_min", "s_max", "s_steps", "out", "format"),
     "painleve": ("family", "n", "s_min", "s_max", "step", "seed", "out", "format"),
     "airy": ("family", "nu", "out", "format"),
@@ -63,9 +69,6 @@ class RunConfig:
     s_max: float = 3.0
     s_steps: int = 61
     quad_points: int = 200
-    radius: float = 1.0
-    line_re: float = 2.0
-    line_trunc: float = 0.0  # 0 -> default truncation
     step: float = 1e-3
     seed: int = 0
     out: str = ""
@@ -99,14 +102,12 @@ class RunConfig:
             )
         if self.s_min >= self.s_max:
             raise ValueError("s-min must be below s-max")
+        if command == "fredholm-scan" and max(abs(self.s_min), abs(self.s_max)) > _MAX_ABS_S:
+            raise ValueError(f"s-min and s-max must lie in [-{_MAX_ABS_S:g}, {_MAX_ABS_S:g}] for {command}")
         if self.s_steps < 2:
             raise ValueError("s-steps must be at least 2")
         if self.s_steps > _MAX_S_STEPS:
             raise ValueError(f"s-steps must be at most {_MAX_S_STEPS}")
-        # where the radius is read, the circle must lie left of the line
-        if command not in _OPTIONS or "radius" in _OPTIONS[command]:
-            if self.radius >= self.line_re:
-                raise ValueError("contours intersect ordering")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -146,11 +147,6 @@ def _weight(config: RunConfig) -> WeightFamily:
     if config.family == "scalar":
         return WeightFamily(kind="scalar", nu=0.0, dim=1)
     return WeightFamily(kind=config.family, nu=config.nu, dim=2)
-
-
-def _line(config: RunConfig):
-    trunc = config.line_trunc if config.line_trunc > 0 else None
-    return vline_rule(config.line_re, T=trunc)
 
 
 # ---------------------------------------------------------------------
@@ -202,16 +198,14 @@ def cmd_verify(config: RunConfig) -> int:
         checks.append(("integral-representations", "n/a", None, 0.0))
         checks.append(("kernel-equivalence", "n/a", None, 0.0))
     else:
-        circle, line = circle_rule(config.radius), _line(config)
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
         degrees = np.arange(1, min(config.n, 5) + 1)
         direct = kernels.polynomial_times_tfactor(family, degrees, xs)
         loop = kernels.intrep_loop(family, degrees, xs)
-        errors = [loop - direct, kernels.intrep_line(family, degrees, xs, line) - direct]
+        errors = [loop - direct, kernels.intrep_line(family, degrees, xs) - direct]
         checks.append(("integral-representations", "", float(np.max(np.abs(errors))), 1e-8))
-        spec = kernels.KernelSpec(fam, min(config.n, 4), form="doubleintA" if fam.kind == "a" else "doubleintB")
         grid = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]
-        worst = kernels.generic_kernel_deviation(spec, family, grid, circle=circle, line=line)
+        worst = kernels.generic_kernel_deviation(family, min(config.n, 4), grid)
         checks.append(("kernel-equivalence", "", worst, 1e-6))
 
     failed = False
@@ -240,12 +234,14 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
         out = {"s": s, "error": ""}
         try:
             out["det_gram"] = fredholm.gram_det(family, config.n, s, system=system)
-            out["det_contour"] = fredholm.contour_det(family, config.n, s)
             out["R"], out["Rp"], out["Rpp"] = fredholm.log_derivs(system)
             if fam.kind == "scalar":
                 out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, s)
             else:
                 out["sigma_piv_residual"] = ""
+            # last: a row the contour route cannot vouch for keeps its
+            # Gram-route columns
+            out["det_contour"] = fredholm.contour_det(family, config.n, s)
         except ValueError as exc:
             out["error"] = str(exc)
         rows.append(out)

@@ -33,7 +33,6 @@ __all__ = [
     "build_family",
     "phi_all",
     "phi_deriv",
-    "phi_deriv2_all",
     "ode_terms",
     "ode_residual",
     "family_constants",
@@ -346,12 +345,6 @@ def phi_all(family: MOPFamily, x, upto: int) -> np.ndarray:
 def phi_deriv(family: MOPFamily, n: int, x) -> np.ndarray:
     """Analytic x-derivative of Phi_n."""
     return _phi_jet(family, x, n + 1, 1)[1][n]
-
-
-def phi_deriv2_all(family: MOPFamily, x, upto: int) -> np.ndarray:
-    """Analytic second x-derivatives of Phi_0..Phi_{upto-1} at x:
-    (upto, ..., N, N)."""
-    return _phi_jet(family, x, upto, 2)[2]
 
 
 def _ode_coefficients(fam: WeightFamily, n):

@@ -15,20 +15,12 @@ import numpy as np
 
 from .families import MOPFamily, _phi_jet, phi_all
 from .kernels import _laurent_data
-from .quadrature import (
-    PANEL_ORDER,
-    TAIL_DEPTH,
-    QuadRule,
-    gauss_hermite,
-    panel_rule,
-    tail_integral,
-)
+from .quadrature import PANEL_ORDER, TAIL_DEPTH, panel_rule
 
 __all__ = [
     "GramSystem",
     "build_grams",
     "build_gram",
-    "upper_tail_gram",
     "gram_det",
     "log_deriv",
     "log_derivs",
@@ -154,24 +146,6 @@ def _cut_systems(family: MOPFamily, n: int, points: np.ndarray, factors: list) -
 def build_gram(family: MOPFamily, n: int, s: float) -> GramSystem:
     """The Gram system at one cut point s: the one-point grid."""
     return next(build_grams(family, n, [s]))
-
-
-def upper_tail_gram(family: MOPFamily, n: int, s: float, full_rule: QuadRule | None = None) -> np.ndarray:
-    """Upper-tail Gram G(s) with blocks int_s^inf Phi_j Phi_k^T, as an
-    (nN, nN) matrix: the whole-line Gram (Gauss-Hermite) minus the
-    lower tail.  Not used by the determinant or the log-derivatives."""
-    if n > family.nmax:
-        raise ValueError("degree out of range")
-    dim = family.dim
-
-    def integrand(xs):
-        p = phi_all(family, np.asarray(xs, dtype=float), n)  # (n, m, N, N)
-        return np.einsum("jiab,kicb->ijakc", p, p, optimize=True)
-
-    if full_rule is None:
-        full_rule = gauss_hermite(max(200, 3 * (n + 1)))
-    g = tail_integral(integrand, s, full_rule=full_rule)  # (n, N, n, N)
-    return g.reshape(n * dim, n * dim)
 
 
 def gram_det(family: MOPFamily, n: int, s: float, system: GramSystem | None = None) -> float:

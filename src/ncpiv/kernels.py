@@ -1,13 +1,9 @@
-"""Christoffel-Darboux kernel evaluation in every available form:
-orthonormal partial sum, family-specific double contour integrals, the
-generic two-factor contour form, and the single contour representations
-of the polynomials themselves.
+"""Christoffel-Darboux kernel evaluation in both forms, orthonormal
+partial sum and double contour integral, and the single contour
+representations of the polynomials themselves.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,22 +16,13 @@ from .families import (
     _monic_values,
 )
 from .matcore import power_conjugate
-from .quadrature import (
-    QuadRule,
-    cauchy_core,
-    check_contour_ordering,
-    compensated_weights,
-    default_contours,
-    gauss_hermite,
-)
+from .quadrature import default_contours, default_core
 
 __all__ = [
-    "KernelSpec",
     "cd_sum",
     "cd_double_integral",
     "intrep_loop",
     "intrep_line",
-    "reproducing_residual",
     "generic_kernel_deviation",
 ]
 
@@ -97,42 +84,6 @@ def contour_factors(fam: WeightFamily, n: int):
     return bleft, bright
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Which kernel to evaluate.
-
-    form "sum" needs a built family; the double-integral forms need the
-    2x2 closed-form constants; form "generic" takes two user-supplied
-    matrix functions with bleft(z) @ bright(z) = I.
-    """
-
-    family: WeightFamily
-    n: int
-    form: str = "sum"
-    bleft: Callable | None = None
-    bright: Callable | None = None
-
-    def __post_init__(self):
-        if self.form not in ("sum", "doubleintA", "doubleintB", "generic"):
-            raise ValueError(f"unknown kernel form {self.form!r}")
-        if self.form == "generic":
-            if self.bleft is None or self.bright is None:
-                raise ValueError("generic form needs both contour factors")
-            rng = np.random.default_rng(20260823)
-            for _ in range(10):
-                z = rng.normal() + 1j * rng.normal()
-                if abs(z) < 0.1:
-                    z = z + 0.5
-                prod = np.asarray(self.bleft(z)) @ np.asarray(self.bright(z))
-                if np.max(np.abs(prod - np.eye(prod.shape[0]))) > 1e-10:
-                    raise ValueError("contour factors are not mutually inverse")
-
-    def factors(self):
-        if self.form == "generic":
-            return self.bleft, self.bright
-        return contour_factors(self.family, self.n)
-
-
 def _point_pairs(x, y):
     """x and y as float arrays, checked to be two scalars or two 1-D
     arrays of equal length; also whether they were scalars."""
@@ -161,54 +112,37 @@ def cd_sum(family: MOPFamily, n: int, x: float | np.ndarray, y: float | np.ndarr
     return np.einsum("k...ba,k...bc->...ac", py, px)
 
 
-def cd_double_integral(
-    spec: KernelSpec,
-    x: float | np.ndarray,
-    y: float | np.ndarray,
-    circle: QuadRule | None = None,
-    line: QuadRule | None = None,
-) -> np.ndarray:
+def cd_double_integral(weight: WeightFamily, n: int, x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
     """Double contour integral form of the kernel.
 
     Prefactor 2/(2 pi i)^2 e^{(x^2-y^2)/2} times the integral of
     bleft(z) bright(w) (w/z)^n e^{w^2-2xw-z^2+2zy}/(w-z) over the circle
-    (z) and the vertical line (w).
+    (z) and the vertical line (w) of quadrature.default_contours().
 
     x and y are scalars, giving one (N, N) kernel value, or two 1-D
     arrays of equal length k, giving the (k, N, N) values at the point
     pairs (x_i, y_i).  The contour factors are built once per call and
-    the (x, y)-free core once per pair of rules (quadrature.cauchy_core),
-    so a whole grid costs two contractions.  The rules default to
-    quadrature.default_contours().
+    the (x, y)-free core once per process (quadrature.default_core), so
+    a whole grid costs two contractions.
     """
-    n = spec.n
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
     xs, ys, scalar = _point_pairs(x, y)
     xs, ys = np.atleast_1d(xs), np.atleast_1d(ys)
-    default_circle, default_line = default_contours()
-    circle = default_circle if circle is None else circle
-    line = default_line if line is None else line
-    check_contour_ordering(circle, line)
-    bleft, bright = spec.factors()
-
+    bleft, bright = contour_factors(weight, n)
+    circle, line = default_contours()
     z, wz = circle.nodes, circle.weights
     w, ww = line.nodes, line.weights
-    if spec.form == "generic":
-        # user factors may accept scalars only
-        bl = np.stack([np.asarray(bleft(zi), dtype=complex) for zi in z])
-        br = np.stack([np.asarray(bright(wi), dtype=complex) for wi in w])
-    else:
-        bl = np.asarray(bleft(z), dtype=complex)  # (mz,N,p)
-        br = np.asarray(bright(w), dtype=complex)  # (mw,p,N)
+    bl = np.asarray(bleft(z), dtype=complex)  # (mz,N,p)
+    br = np.asarray(bright(w), dtype=complex)  # (mw,p,N)
     mz, dim, p = bl.shape
     mw = w.shape[0]
     k = xs.shape[0]
 
     # (w/z)^n = w^n z^{-n} splits into the node factors, so the core
-    # shared by every point, degree and factor form is the Cauchy matrix
-    # 1/(w - z), which depends on the two rules alone
-    core = cauchy_core(circle, line)  # (mz,mw)
+    # shared by every point, degree and family is the Cauchy matrix
+    # 1/(w - z) of the two rules
+    core = default_core()  # (mz,mw)
     fz = wz * _ratio_power(1.0 / z, n) * np.exp(-z * z + 2.0 * z * ys[:, None])  # (k,mz)
     fw = ww * _ratio_power(w, n) * np.exp(w * w - 2.0 * xs[:, None] * w)  # (k,mw)
     left = (fz[:, None, None, :] * bl.transpose(1, 2, 0)).reshape(k * dim * p, mz) @ core
@@ -270,20 +204,17 @@ def intrep_loop(family: MOPFamily, n: int | np.ndarray, x: float | np.ndarray) -
     return _squeeze(out, one_degree, one_point)
 
 
-def intrep_line(
-    family: MOPFamily, n: int | np.ndarray, x: float | np.ndarray, line: QuadRule | None = None
-) -> np.ndarray:
+def intrep_line(family: MOPFamily, n: int | np.ndarray, x: float | np.ndarray) -> np.ndarray:
     """P_n(x) T(x) via the vertical-line integral with the closed-form
     constant: e^{x^2} integral of w^{J} D_n w^{-J} e^{w^2-2xw} w^n dw,
-    on default_contours()'s line unless a rule is given."""
+    on default_contours()'s line."""
     xs, one_point = _points(x)
     ns, one_degree = _degrees(n)
     fam = family.weight
     consts = np.stack([family_constants(fam, k)["D"] for k in ns.tolist()])  # (d, N, N)
     scale = 1 if fam.kind == "a" else 2
     j = scale * fam.jexp
-    if line is None:
-        line = default_contours()[1]
+    line = default_contours()[1]
     w, ww = line.nodes, line.weights
     conj = power_conjugate(j, consts[:, None], w)  # (d, mw, N, N)
     powers = np.stack([_ratio_power(w, k) for k in ns.tolist()])  # (d, mw)
@@ -305,44 +236,11 @@ def polynomial_times_tfactor(family: MOPFamily, n: int | np.ndarray, x: float | 
     return _squeeze(out, one_degree, one_point)
 
 
-def reproducing_residual(
-    family: MOPFamily,
-    n: int,
-    y: float,
-    z: float,
-    quad: QuadRule | None = None,
-) -> np.ndarray:
-    """Projection identity: integral over x of K_n(x,y) K_n(z,x) minus
-    K_n(z,y); vanishes because the kernel is the orthogonal projector
-    onto the first n orthonormal functions."""
-    if quad is None:
-        quad = gauss_hermite(max(200, 3 * (n + 1)))
-    wts = compensated_weights(quad)
-    xs = quad.nodes.real
-    if n == 0:
-        return np.zeros((family.dim, family.dim))
-    px = phi_all(family, xs, n)  # (n, m, N, N)
-    py = phi_all(family, np.asarray(float(y)), n)
-    pz = phi_all(family, np.asarray(float(z)), n)
-    kxy = np.einsum("kba,kibc->iac", py, px)  # K(x_i, y)
-    kzx = np.einsum("kiba,kbc->iac", px, pz)  # K(z, x_i)
-    integ = np.einsum("i,iab,ibc->ac", wts, kxy, kzx)
-    kzy = np.einsum("kba,kbc->ac", py, pz)
-    return integ - kzy
-
-
-def generic_kernel_deviation(
-    spec: KernelSpec,
-    family: MOPFamily,
-    grid,
-    circle: QuadRule | None = None,
-    line: QuadRule | None = None,
-) -> float:
-    """Max deviation of the double-integral kernel with the supplied
-    contour factors from the partial-sum kernel over a grid of (x, y)
-    points; harness for candidate factor constructions.  The whole grid
+def generic_kernel_deviation(family: MOPFamily, n: int, grid) -> float:
+    """Max deviation of the double-integral kernel from the partial-sum
+    kernel of degree n over a grid of (x, y) points.  The whole grid
     goes through one call of each kernel form."""
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
-    kint = cd_double_integral(spec, pts[:, 0], pts[:, 1], circle=circle, line=line)
-    ksum = cd_sum(family, spec.n, pts[:, 0], pts[:, 1])
+    kint = cd_double_integral(family.weight, n, pts[:, 0], pts[:, 1])
+    ksum = cd_sum(family, n, pts[:, 0], pts[:, 1])
     return float(np.max(np.abs(kint - ksum)))

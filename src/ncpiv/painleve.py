@@ -169,12 +169,6 @@ def _det_num(a, b, c, d, sqrt):
     return a * d - b * c, 0.5 * (p2 + q2) + sqrt(p2 * q2)
 
 
-def _cond2(m: np.ndarray):
-    """2-norm condition number of a 2x2 matrix m, or of each matrix of a
-    stack (see _det_cond)."""
-    return _det_cond(m)[2]
-
-
 def _inv2(m: np.ndarray, limit: float) -> np.ndarray:
     """Inverse adj(m) / det(m) of a 2x2 matrix m, or of each matrix of a
     stack, bitwise the same alone and stacked.  Raises "y singular" when

@@ -18,12 +18,11 @@ __all__ = [
     "circle_rule",
     "vline_rule",
     "default_contours",
-    "cauchy_core",
+    "default_core",
     "tail_integral",
     "lower_tail_integral",
     "lower_tail_rule",
     "panel_rule",
-    "check_contour_ordering",
 ]
 
 DEFAULT_CIRCLE_NODES = 256
@@ -97,14 +96,12 @@ def circle_rule(r: float, m: int = DEFAULT_CIRCLE_NODES) -> QuadRule:
     return QuadRule(nodes=nodes, weights=weights, kind="circle")
 
 
-def vline_rule(L: float, T: float | None = None, m: int = DEFAULT_LINE_NODES) -> QuadRule:
-    """Trapezoidal rule for the vertical segment L + i[-T, T].
-
-    The default truncation keeps the Gaussian envelope e^{L^2 - t^2}
-    below 1e-17 at the endpoints.
+def vline_rule(L: float, m: int = DEFAULT_LINE_NODES) -> QuadRule:
+    """Trapezoidal rule for the vertical segment L + i[-T, T], with
+    T = sqrt(L^2 + 40): the Gaussian envelope e^{L^2 - t^2} is below
+    1e-17 at the endpoints.
     """
-    if T is None:
-        T = math.sqrt(L * L + 40.0)
+    T = math.sqrt(L * L + 40.0)
     t = np.linspace(-T, T, m)
     dt = t[1] - t[0]
     w = np.full(m, dt, dtype=complex)
@@ -115,8 +112,9 @@ def vline_rule(L: float, T: float | None = None, m: int = DEFAULT_LINE_NODES) ->
 
 @lru_cache(maxsize=None)
 def default_contours() -> tuple[QuadRule, QuadRule]:
-    """The default kernel contours, the circle |z| = 1 and the line
-    Re w = 2, built once per process; read-only."""
+    """The kernel contours, the circle |z| = 1 and the line Re w = 2,
+    built once per process; read-only.  The circle lies left of the
+    line, as the double-integral kernel needs."""
     rules = (circle_rule(DEFAULT_CIRCLE_RADIUS), vline_rule(DEFAULT_LINE_ABSCISSA))
     for rule in rules:
         rule.nodes.flags.writeable = False
@@ -124,36 +122,15 @@ def default_contours() -> tuple[QuadRule, QuadRule]:
     return rules
 
 
-# Cauchy cores kept per process; one for the default rules (256 x 400
-# complex) takes 1.6 MB
-_CORE_CACHE_SIZE = 4
-
-
-def cauchy_core(circle: QuadRule, line: QuadRule) -> np.ndarray:
-    """The Cauchy matrix 1/(w - z) of the circle nodes z (rows) and the
-    line nodes w (columns).  Read-only, and kept for the last few rule
-    pairs: it is keyed on the node values, so a rule built anew with the
-    same nodes meets the same core and any other rule gets its own."""
-    z = np.asarray(circle.nodes, dtype=complex)
-    w = np.asarray(line.nodes, dtype=complex)
-    return _cauchy_core(z.tobytes(), w.tobytes())
-
-
-@lru_cache(maxsize=_CORE_CACHE_SIZE)
-def _cauchy_core(z: bytes, w: bytes) -> np.ndarray:
-    zs = np.frombuffer(z, dtype=complex)
-    ws = np.frombuffer(w, dtype=complex)
-    core = 1.0 / (ws[None, :] - zs[:, None])
+@lru_cache(maxsize=None)
+def default_core() -> np.ndarray:
+    """The Cauchy matrix 1/(w - z) of the default_contours() circle
+    nodes z (rows) and line nodes w (columns), 256 x 400 complex
+    (1.6 MB), built once per process; read-only."""
+    circle, line = default_contours()
+    core = 1.0 / (line.nodes[None, :] - circle.nodes[:, None])
     core.flags.writeable = False
     return core
-
-
-def check_contour_ordering(circle: QuadRule, line: QuadRule) -> None:
-    """The loop must sit strictly left of the vertical line."""
-    r = np.max(np.abs(circle.nodes))
-    L = float(np.min(line.nodes.real))
-    if r >= L:
-        raise ValueError("contours intersect ordering")
 
 
 @lru_cache(maxsize=None)

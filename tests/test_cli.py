@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def test_verify_one_pass_prints_the_per_degree_checks(family, capsys):
     # verify evaluates the integral representations and the ODE terms of
     # all degrees in one pass; it prints what one call per degree gives
     from ncpiv import kernels
-    from ncpiv.cli import _line, _weight
+    from ncpiv.cli import _weight
     from ncpiv.families import build_family, ode_residual, ode_terms
     from ncpiv.quadrature import gauss_hermite
 
@@ -72,12 +73,11 @@ def test_verify_one_pass_prints_the_per_degree_checks(family, capsys):
         out = capsys.readouterr().out
         config = RunConfig(family=family, nu=0.8, n=n, seed=n)
         fam = build_family(_weight(config), max(n, 6), quad=gauss_hermite(config.quad_points))
-        line = _line(config)
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
         errors = []
         for k in range(1, min(n, 5) + 1):
             direct = kernels.polynomial_times_tfactor(fam, k, xs)
-            errors += [kernels.intrep_loop(fam, k, xs) - direct, kernels.intrep_line(fam, k, xs, line) - direct]
+            errors += [kernels.intrep_loop(fam, k, xs) - direct, kernels.intrep_line(fam, k, xs) - direct]
         assert f"integral-representations: max residual {np.max(np.abs(errors)):.3e} (tol" in out
         rel = []
         for k, x in enumerate(np.random.default_rng(n).uniform(-2, 2, size=(n + 1, 5))):
@@ -95,16 +95,16 @@ def test_verify_scalar_skips_matrix_checks(capsys):
 
 
 def test_bad_contour_config_is_usage_error(capsys):
-    # verify reads both contours: the circle must lie left of the line
-    code = main(["verify", "--radius", "3", "--line-re", "2"])
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert "contours intersect ordering" in err
+    # the kernel contours are fixed: no subcommand takes a contour option
+    for name in ("verify", "fredholm-scan", "painleve", "airy"):
+        for option in ("--radius", "--line-re", "--line-trunc"):
+            assert main([name, option, "1"]) == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_each_subcommand_takes_the_options_it_reads(capsys):
     # the parser offers each subcommand the RunConfig fields of its row
-    # of the table, plus --initial (painleve) and --n-list (airy): 30
+    # of the table, plus --initial (painleve) and --n-list (airy): 27
     # option slots; every other field is a usage error
     from ncpiv.cli import _OPTIONS, _parser
 
@@ -119,13 +119,10 @@ def test_each_subcommand_takes_the_options_it_reads(capsys):
         for f in fields(RunConfig):
             if f.name not in reads:
                 assert main([name, "--" + f.name.replace("_", "-"), "1"]) == EXIT_USAGE
-    assert slots == 30
+    assert slots == 27
     for argv in (
         ["verify", "--out", "f"],
-        ["fredholm-scan", "--radius", "0.5"],
         ["fredholm-scan", "--quad-points", "300"],
-        ["fredholm-scan", "--line-re", "1"],
-        ["fredholm-scan", "--line-trunc", "5"],
         ["painleve", "--nu", "2"],
         ["airy", "--n", "8"],
     ):
@@ -240,7 +237,6 @@ def test_fredholm_scan_builds_one_grid_per_scan(tmp_path, monkeypatch):
     counted(fredholm, "build_gram")
     counted(fredholm, "phi_all")
     counted(fredholm, "second_log_deriv")
-    counted(fredholm, "tail_integral")
     counted(quadrature, "tail_integral")
     steps = 4
     code = main(
@@ -263,6 +259,46 @@ def test_fredholm_scan_builds_one_grid_per_scan(tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert len(read_csv(tmp_path / "scan.csv")) == steps + 1
     assert calls == {"build_grams": 1, "build_gram": 0, "phi_all": 1, "second_log_deriv": 0, "tail_integral": 0}
+
+
+def test_fredholm_scan_flagged_rows_keep_the_gram_route(capsys):
+    # the README scan: a row whose contour determinant is flagged still
+    # prints R, R' and R'' of its Gram system
+    from ncpiv import fredholm
+    from ncpiv.families import WeightFamily, build_family
+
+    argv = ["fredholm-scan", "--family", "a", "--nu", "1", "--n", "3", "--s-min", "-3", "--s-max", "3"]
+    assert main(argv + ["--s-steps", "121"]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    family = build_family(WeightFamily(kind="a", nu=1.0), 4)
+    grid = np.linspace(-3.0, 3.0, 121)
+    flagged = 0
+    for row, system in zip(rows, fredholm.build_grams(family, 3, grid)):
+        if row["error"]:
+            flagged += 1
+            assert row["error"].startswith("contour route unreliable (est ")
+            assert row["det_contour"] == "" and row["sigma_piv_residual"] == ""
+            assert [float(row[c]) for c in ("R", "Rp", "Rpp")] == list(fredholm.log_derivs(system))
+    assert flagged == 28
+
+
+def test_fredholm_scan_bounds_s(capsys):
+    # the scan's panels grow with |s|; s = 1e9 once ran past 10 s
+    for argv in (
+        ["fredholm-scan", "--s-min", "0", "--s-max", "1e9", "--s-steps", "3"],
+        ["fredholm-scan", "--s-min=-1e9", "--s-steps", "3"],
+        ["fredholm-scan", "--s-min", "-1e9", "--s-steps", "3"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+    assert "s-min and s-max must lie in [-100, 100] for fredholm-scan" in capsys.readouterr().err
+    RunConfig(s_min=-100.0, s_max=100.0).validate("fredholm-scan")
+    for s_min, s_max in ((-100.5, 0.0), (0.0, 100.5)):
+        with pytest.raises(ValueError, match=r"^s-min and s-max must lie in \[-100, 100\] for fredholm-scan$"):
+            RunConfig(s_min=s_min, s_max=s_max).validate("fredholm-scan")
+    # painleve reads s only as the span of its flow
+    RunConfig(s_min=0.0, s_max=1e9).validate("painleve")
 
 
 def test_painleve_fixed_point(tmp_path):
@@ -475,7 +511,7 @@ def test_runconfig_validation():
     for n in (0, -3):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             RunConfig(n=n).validate()
-    for name, option in (("nu", "nu"), ("s_min", "s-min"), ("s_max", "s-max"), ("line_trunc", "line-trunc"), ("step", "step")):
+    for name, option in (("nu", "nu"), ("s_min", "s-min"), ("s_max", "s-max"), ("step", "step")):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"^{option} must be finite$"):
                 RunConfig(**{name: bad}).validate()
@@ -544,7 +580,11 @@ def test_verify_fails_a_nan_residual(name, monkeypatch, capsys):
 def test_fredholm_scan_flags_a_non_finite_contour_det():
     # at n = 122 the contour route's determinant overflows at s = -3, and
     # its moments lose every digit at s = 3; under warnings as errors the
-    # scan flags both rows instead of dying in exp
+    # scan flags both rows instead of dying in exp.  The Gram determinant
+    # vanishes at both points too, and a row reports that first error
+    from ncpiv import fredholm
+    from ncpiv.families import WeightFamily, build_family
+
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "ncpiv.cli", "fredholm-scan", "--n", "122", "--s-steps", "2"],
@@ -559,8 +599,12 @@ def test_fredholm_scan_flags_a_non_finite_contour_det():
     for row in rows:
         assert np.isfinite(float(row["det_gram"]))
         assert row["det_contour"] == ""
-    assert rows[0]["error"].startswith("contour determinant is not finite")
-    assert rows[1]["error"].startswith("contour route unreliable (est ")
+        assert row["error"] == "determinant vanishes"
+    family = build_family(WeightFamily(kind="a", nu=1.0), 123)
+    with pytest.raises(ValueError, match="^contour determinant is not finite"):
+        fredholm.contour_det(family, 122, -3.0)
+    with pytest.raises(ValueError, match=r"^contour route unreliable \(est "):
+        fredholm.contour_det(family, 122, 3.0)
 
 
 def test_json_output(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from conftest import upper_tail_gram
 from ncpiv import fredholm
 from ncpiv.families import WeightFamily, build_family
 from ncpiv.fredholm import (
@@ -21,7 +22,6 @@ from ncpiv.fredholm import (
     log_derivs,
     second_log_deriv,
     sigma_piv_residual,
-    upper_tail_gram,
 )
 
 

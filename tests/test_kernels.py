@@ -7,9 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import reproducing_residual
 from ncpiv.families import WeightFamily, build_family
 from ncpiv.kernels import (
-    KernelSpec,
     _hermite_coeffs,
     _ratio_power,
     cd_double_integral,
@@ -19,9 +19,8 @@ from ncpiv.kernels import (
     intrep_line,
     intrep_loop,
     polynomial_times_tfactor,
-    reproducing_residual,
 )
-from ncpiv.quadrature import _cauchy_core, circle_rule, vline_rule
+from ncpiv.quadrature import circle_rule, default_core, vline_rule
 
 
 def hermite_kernel(n, x, y):
@@ -76,40 +75,25 @@ def test_cd_sum_transpose_symmetry(fam_a):
 @pytest.mark.parametrize("kind,nu", [("a", 1.0), ("b", 0.5)])
 def test_double_integral_matches_sum(kind, nu):
     family = build_family(WeightFamily(kind=kind, nu=nu), nmax=5)
-    form = "doubleintA" if kind == "a" else "doubleintB"
     for n in (1, 3, 4):
-        spec = KernelSpec(family.weight, n, form=form)
         for x, y in ((0.2, -0.4), (-1.5, 1.5), (0.0, 0.0)):
             ksum = cd_sum(family, n, x, y)
-            kint = cd_double_integral(spec, x, y)
+            kint = cd_double_integral(family.weight, n, x, y)
             rel = np.max(np.abs(kint - ksum)) / (1.0 + np.max(np.abs(ksum)))
             assert rel < 1e-6
 
 
 def test_double_integral_nu_zero_is_scalar_times_identity(fam_scalar):
     family = build_family(WeightFamily(kind="a", nu=0.0), nmax=3)
-    spec = KernelSpec(family.weight, 2, form="doubleintA")
     x, y = 0.4, -0.2
-    got = cd_double_integral(spec, x, y)
+    got = cd_double_integral(family.weight, 2, x, y)
     scalar = cd_sum(fam_scalar, 2, x, y)[0, 0]
     assert np.max(np.abs(got - scalar * np.eye(2))) < 1e-8
 
 
 def test_double_integral_rejects_degree_zero():
-    spec = KernelSpec(WeightFamily(kind="a", nu=1.0), 0, form="doubleintA")
     with pytest.raises(ValueError, match="kernel degree must be a positive integer"):
-        cd_double_integral(spec, 0.0, 0.0)
-
-
-def test_kernel_spec_validates_generic_factors():
-    with pytest.raises(ValueError, match="contour factors are not mutually inverse"):
-        KernelSpec(
-            WeightFamily(kind="a", nu=1.0),
-            2,
-            form="generic",
-            bleft=lambda z: 2.0 * np.eye(2),
-            bright=lambda w: np.eye(2),
-        )
+        cd_double_integral(WeightFamily(kind="a", nu=1.0), 0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", ["a", "b"])
@@ -122,13 +106,6 @@ def test_contour_factors_on_node_arrays(kind):
         assert np.array_equal(factor(nodes), stacked)
 
 
-def test_generic_form_with_true_factors(fam_a):
-    bleft, bright = contour_factors(fam_a.weight, 3)
-    spec = KernelSpec(fam_a.weight, 3, form="generic", bleft=bleft, bright=bright)
-    grid = [(0.3, -0.5), (1.0, 1.0)]
-    assert generic_kernel_deviation(spec, fam_a, grid) < 1e-8
-
-
 # verify's kernel-equivalence grid
 VERIFY_GRID = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]
 
@@ -137,20 +114,18 @@ VERIFY_GRID = [(x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5)]
 @pytest.mark.parametrize("n", [1, 4])
 def test_cd_double_integral_on_point_arrays(kind, n):
     family = build_family(WeightFamily(kind=kind, nu=0.7), nmax=5)
-    spec = KernelSpec(family.weight, n, form="doubleintA" if kind == "a" else "doubleintB")
     xs, ys = np.array(VERIFY_GRID).T
-    got = cd_double_integral(spec, xs, ys)
+    got = cd_double_integral(family.weight, n, xs, ys)
     assert got.shape == (6, 2, 2)
     for row, x, y in zip(got, xs, ys):
-        point = cd_double_integral(spec, x, y)
+        point = cd_double_integral(family.weight, n, x, y)
         assert point.shape == (2, 2)
         assert np.max(np.abs(row - point)) <= 1e-12 * (1.0 + np.max(np.abs(point)))
 
 
 def test_cd_double_integral_rejects_mismatched_points():
-    spec = KernelSpec(WeightFamily(kind="a", nu=1.0), 2, form="doubleintA")
     with pytest.raises(ValueError, match="1-D arrays of equal length"):
-        cd_double_integral(spec, np.zeros(3), np.zeros(2))
+        cd_double_integral(WeightFamily(kind="a", nu=1.0), 2, np.zeros(3), np.zeros(2))
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "scalar"])
@@ -188,27 +163,8 @@ def test_kernel_deviation_builds_contour_factors_once(kind, monkeypatch):
 
     monkeypatch.setattr(kernels, "power_conjugate", counted)
     family = build_family(WeightFamily(kind=kind, nu=1.0), nmax=6)
-    spec = KernelSpec(family.weight, 4, form="doubleintA" if kind == "a" else "doubleintB")
-    assert generic_kernel_deviation(spec, family, VERIFY_GRID) < 1e-8
+    assert generic_kernel_deviation(family, 4, VERIFY_GRID) < 1e-8
     assert calls["power_conjugate"] <= 2
-
-
-def test_generic_form_with_scalar_only_factors(fam_b):
-    # user factors that reject node arrays keep the per-node path
-    bleft, bright = contour_factors(fam_b.weight, 3)
-    spec = KernelSpec(
-        fam_b.weight,
-        3,
-        form="generic",
-        bleft=lambda z: bleft(complex(z)),
-        bright=lambda w: bright(complex(w)),
-    )
-    with pytest.raises(TypeError):
-        spec.bleft(np.array([0.5, 0.6]))
-    builtin = KernelSpec(fam_b.weight, 3, form="doubleintB")
-    dev = generic_kernel_deviation(spec, fam_b, VERIFY_GRID)
-    assert dev < 1e-8
-    assert abs(dev - generic_kernel_deviation(builtin, fam_b, VERIFY_GRID)) < 1e-12
 
 
 @pytest.mark.parametrize("kind,nu", [("a", 1.0), ("b", 0.7)])
@@ -227,9 +183,8 @@ def test_integral_representations_on_x_arrays(kind, nu):
     # representations and the direct evaluation they reproduce
     family = build_family(WeightFamily(kind=kind, nu=nu), nmax=7)
     xs = np.array([-1.0, 0.0, 0.5, 1.5, -2.3])
-    line = vline_rule(2.0)
     for n in (0, 1, 3, 7):
-        for f in (polynomial_times_tfactor, intrep_loop, lambda fam, k, x: intrep_line(fam, k, x, line)):
+        for f in (polynomial_times_tfactor, intrep_loop, intrep_line):
             got = f(family, n, xs)
             one_at_a_time = np.stack([f(family, n, float(x)) for x in xs])
             assert got.shape == (5, 2, 2)
@@ -246,38 +201,30 @@ def test_integral_representations_over_degree_arrays(kind, nu):
     # every degree, and each line sum keeps its order
     family = build_family(WeightFamily(kind=kind, nu=nu), nmax=8)
     xs = np.array([-1.0, 0.0, 0.5, 1.5])
-    for line in (None, vline_rule(1.5, T=6.0)):
-        line_args = () if line is None else (line,)
-        for f, args in ((polynomial_times_tfactor, ()), (intrep_loop, ()), (intrep_line, line_args)):
-            for degrees in (np.arange(1, 6), np.array([7, 0, 3])):
-                got = f(family, degrees, xs, *args)
-                per_degree = np.stack([f(family, int(k), xs, *args) for k in degrees])
-                assert got.shape == (degrees.size, 4, 2, 2)
-                assert got.tobytes() == per_degree.tobytes()
-                one_point = f(family, degrees, 0.5, *args)
-                assert one_point.shape == (degrees.size, 2, 2)
-                assert one_point.tobytes() == got[:, 2].tobytes()
+    for f in (polynomial_times_tfactor, intrep_loop, intrep_line):
+        for degrees in (np.arange(1, 6), np.array([7, 0, 3])):
+            got = f(family, degrees, xs)
+            per_degree = np.stack([f(family, int(k), xs) for k in degrees])
+            assert got.shape == (degrees.size, 4, 2, 2)
+            assert got.tobytes() == per_degree.tobytes()
+            one_point = f(family, degrees, 0.5)
+            assert one_point.shape == (degrees.size, 2, 2)
+            assert one_point.tobytes() == got[:, 2].tobytes()
     for bad in (np.array([[1, 2]]), np.array([1.0, 2.0])):
         with pytest.raises(ValueError, match="1-D array of integers"):
             intrep_loop(family, bad, xs)
 
 
-def test_double_integral_takes_the_cached_core(fam_a):
-    # every form, the generic one included, reads the core of its rules
-    # from the cache; a custom rule gets a core of its own
-    spec = KernelSpec(fam_a.weight, 3, form="doubleintA")
-    bleft, bright = contour_factors(fam_a.weight, 3)
-    generic = KernelSpec(fam_a.weight, 3, form="generic", bleft=bleft, bright=bright)
-    cd_double_integral(spec, 0.5, -1.0)
-    hits = _cauchy_core.cache_info().hits
-    first = cd_double_integral(spec, 0.5, -1.0)
-    assert cd_double_integral(generic, 0.5, -1.0).shape == (2, 2)
-    assert _cauchy_core.cache_info().hits == hits + 2
-    circle, line = circle_rule(0.7, m=64), vline_rule(2.5)
-    custom = cd_double_integral(spec, 0.5, -1.0, circle=circle, line=line)
-    assert not np.array_equal(custom, first)
-    assert np.max(np.abs(custom - cd_sum(fam_a, 3, 0.5, -1.0))) < 1e-8
-    assert cd_double_integral(spec, 0.5, -1.0).tobytes() == first.tobytes()
+def test_double_integral_takes_the_cached_core(fam_a, fam_b):
+    # every call, for either family, reads the one core of the default
+    # contours, and each call gives the same bits
+    first = cd_double_integral(fam_a.weight, 3, 0.5, -1.0)
+    hits = default_core.cache_info().hits
+    assert cd_double_integral(fam_a.weight, 3, 0.5, -1.0).tobytes() == first.tobytes()
+    assert np.max(np.abs(cd_double_integral(fam_b.weight, 3, 0.5, -1.0) - cd_sum(fam_b, 3, 0.5, -1.0))) < 1e-8
+    assert default_core.cache_info().hits == hits + 2
+    assert default_core.cache_info().currsize == 1
+    assert np.max(np.abs(first - cd_sum(fam_a, 3, 0.5, -1.0))) < 1e-8
 
 
 def test_intrep_loop_p0_is_identity(fam_a):

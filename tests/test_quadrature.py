@@ -8,15 +8,12 @@ import pytest
 
 from conftest import integrate, phi
 from ncpiv.families import WeightFamily, build_family
-from ncpiv.kernels import KernelSpec, cd_double_integral
+from ncpiv.kernels import cd_double_integral
 from ncpiv.quadrature import (
-    _CORE_CACHE_SIZE,
-    _cauchy_core,
-    cauchy_core,
-    check_contour_ordering,
     circle_rule,
     compensated_weights,
     default_contours,
+    default_core,
     gauss_hermite,
     tail_integral,
     vline_rule,
@@ -100,9 +97,9 @@ def test_vline_shifted_gaussian():
 
 
 def test_contour_ordering_guard():
-    with pytest.raises(ValueError, match="contours intersect ordering"):
-        check_contour_ordering(circle_rule(3.0), vline_rule(2.0))
-    check_contour_ordering(circle_rule(1.0), vline_rule(2.0))  # fine
+    # the double-integral kernel needs the loop strictly left of the line
+    circle, line = default_contours()
+    assert np.max(np.abs(circle.nodes)) < np.min(line.nodes.real)
 
 
 def test_default_contours_built_once_and_read_only():
@@ -118,40 +115,24 @@ def test_default_contours_built_once_and_read_only():
 
 def test_cauchy_core_is_cached_bit_equal_and_read_only():
     circle, line = default_contours()
-    core = cauchy_core(circle, line)
+    core = default_core()
     assert core.shape == (circle.nodes.size, line.nodes.size)
-    fresh = 1.0 / (line.nodes[None, :] - circle.nodes[:, None])
+    fresh = 1.0 / (vline_rule(2.0).nodes[None, :] - circle_rule(1.0).nodes[:, None])
     assert core.tobytes() == fresh.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         core[0, 0] = 0.0
-    # rules built anew with the same nodes meet the same core
-    assert cauchy_core(circle_rule(1.0), vline_rule(2.0)) is core
-
-
-def test_custom_rule_gets_its_own_core():
-    default = cauchy_core(*default_contours())
-    circle, line = circle_rule(0.7, m=64), vline_rule(2.5)
-    core = cauchy_core(circle, line)
-    assert core.shape == (64, line.nodes.size)
-    assert core.tobytes() == (1.0 / (line.nodes[None, :] - circle.nodes[:, None])).tobytes()
-    # neither rule is mistaken for the default one, and the default core
-    # is unchanged after the custom one was built
-    assert cauchy_core(circle, vline_rule(2.0)).shape == (64, 400)
-    assert cauchy_core(circle_rule(0.7), line).tobytes() != default.tobytes()
-    assert cauchy_core(*default_contours()).tobytes() == default.tobytes()
+    assert default_core() is core
 
 
 def test_contour_caches_stay_bounded():
-    # the core cache keeps at most _CORE_CACHE_SIZE cores over any number
-    # of distinct rules, and the rule constructors keep nothing
+    # the kernel at any number of points keeps one pair of rules and one
+    # core, and the rule constructors keep nothing
     family = build_family(WeightFamily(kind="a", nu=1.0), nmax=4)
-    spec = KernelSpec(family.weight, 2, form="doubleintA")
-    for r in np.linspace(0.3, 1.2, 200):
-        cd_double_integral(spec, 0.5, -0.5, circle=circle_rule(float(r), m=16), line=vline_rule(1.5, m=40))
-    info = _cauchy_core.cache_info()
-    assert info.maxsize == _CORE_CACHE_SIZE and info.currsize <= _CORE_CACHE_SIZE
+    for x in np.linspace(-1.5, 1.5, 20):
+        cd_double_integral(family.weight, 2, float(x), -0.5)
     assert default_contours.cache_info().currsize == 1
-    assert circle_rule(1.0) is not circle_rule(1.0)  # the constructors keep nothing
+    assert default_core.cache_info().currsize == 1
+    assert circle_rule(1.0) is not circle_rule(1.0)
 
 
 def test_tail_integral_half_gaussian():
