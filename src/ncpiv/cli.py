@@ -10,6 +10,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -228,23 +229,38 @@ def cmd_fredholm_scan(config: RunConfig) -> int:
     family = build_family(fam, max(config.n, 2) + 1)
     grid = np.linspace(config.s_min, config.s_max, config.s_steps)
 
-    # one pass over the grid: each row's Gram factor updates the last one
+    # one pass over the grid: each row's Gram factor updates the last one,
+    # and the rows of one chunk share every solve and determinant call.  A
+    # row stops at its first error, in the order Gram route, sigma residual,
+    # contour route
     rows = []
-    for s, system in zip(grid.tolist(), fredholm.build_grams(family, config.n, grid)):
-        out = {"s": s, "error": ""}
-        try:
-            out["det_gram"] = fredholm.gram_det(family, config.n, s, system=system)
-            out["R"], out["Rp"], out["Rpp"] = fredholm.log_derivs(system)
+    for stack in fredholm.gram_stacks(family, config.n, grid):
+        part = [{"s": s, "det_gram": d, "error": ""} for s, d in zip(stack.s.tolist(), fredholm.gram_dets(stack))]
+        sound = fredholm.resolvable(stack)
+        for i in np.flatnonzero(~sound).tolist():
+            part[i]["error"] = fredholm.VANISHES
+        # selecting rows copies their factors: only where some row vanishes
+        derivs = fredholm.log_derivs(stack if sound.all() else stack[sound])
+        live = []
+        for i, r, rp, rpp in zip(np.flatnonzero(sound).tolist(), *(d.tolist() for d in derivs)):
+            out = part[i]
+            out.update(R=r, Rp=rp, Rpp=rpp, sigma_piv_residual="")
             if fam.kind == "scalar":
-                out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, s)
+                try:
+                    out["sigma_piv_residual"] = fredholm.sigma_piv_residual(family, config.n, out["s"])
+                except ValueError as exc:
+                    out["error"] = str(exc)
+                    continue
+            live.append(i)
+        # last: a row the contour route cannot vouch for keeps its
+        # Gram-route columns
+        for i, det, error in zip(live, *fredholm.contour_dets(family, config.n, stack.s[live])):
+            if error:
+                part[i]["error"] = error
             else:
-                out["sigma_piv_residual"] = ""
-            # last: a row the contour route cannot vouch for keeps its
-            # Gram-route columns
-            out["det_contour"] = fredholm.contour_det(family, config.n, s)
-        except ValueError as exc:
-            out["error"] = str(exc)
-        rows.append(out)
+                part[i]["det_contour"] = det
+        rows += part
+        del stack  # before the next stack exists
     columns = ["s", "det_gram", "det_contour", "R", "Rp", "Rpp", "sigma_piv_residual", "error"]
     _emit(rows, columns, config)
     return EXIT_OK
@@ -354,6 +370,11 @@ def cmd_airy(config: RunConfig, n_list: list[int]) -> int:
 # argument parsing
 
 
+# A negative number, exponent notation included.  argparse's own pattern
+# takes "-1e-3" for an option name, so "--s-min -1e-3" would lack its value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; each subcommand
@@ -365,6 +386,7 @@ def _parser() -> argparse.ArgumentParser:
     for name, reads in _OPTIONS.items():
         # no abbreviations: airy --n must not pass for --n-list
         p = sub.add_parser(name, allow_abbrev=False)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for field in reads:
             p.add_argument("--" + field.replace("_", "-"), type=type(defaults[field]), default=defaults[field])
         if name == "painleve":

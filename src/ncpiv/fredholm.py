@@ -19,16 +19,23 @@ from .quadrature import PANEL_ORDER, TAIL_DEPTH, panel_rule
 
 __all__ = [
     "GramSystem",
+    "VANISHES",
+    "gram_stacks",
     "build_grams",
     "build_gram",
+    "gram_dets",
     "gram_det",
+    "resolvable",
     "log_deriv",
     "log_derivs",
     "sigma_piv_residual",
+    "contour_dets",
     "contour_det",
 ]
 
-_DET_FLOOR = 1e-300
+# log det H below which the determinant vanishes (det H < 1e-300)
+_LOG_DET_FLOOR = np.log(1e-300)
+VANISHES = "determinant vanishes"
 # unit roundoff of double arithmetic
 _U = 2.0**-53
 # largest running-error estimate of log det at which the contour route
@@ -40,6 +47,9 @@ _FD_STEP = 1e-4
 # most lower-tail nodes that one evaluation of Phi may take: a long scan
 # grid is covered chunk by chunk, never all at once
 _CHUNK_NODES = 2048
+# most entries of Chat, summed over its points, that one stack of contour
+# determinants may hold: at a high degree the points go a few at a time
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -55,21 +65,29 @@ class GramSystem:
     upper-tail Gram G: for strongly negative s the entries of I - G are
     tiny and would be known only to absolute (not relative) precision,
     which ruins the resolvent.  Working through C halves the effective
-    condition number of every resolvent solve."""
+    condition number of every resolvent solve.
 
-    s: float
+    A stack of systems at S cut points carries a leading point axis on
+    s, psi and C; indexing it with an array of points or a mask gives
+    the stack of those points."""
+
+    s: float | np.ndarray  # one cut point, or (S,) for a stack
     n: int
-    psi: np.ndarray  # (3, nN, N): Psi, Psi', Psi''
-    C: np.ndarray
+    psi: np.ndarray  # (..., 3, nN, N): Psi, Psi', Psi''
+    C: np.ndarray  # (..., nN, nN)
 
     @property
     def B(self) -> np.ndarray:
-        return self.psi[0] @ self.psi[0].T
+        return self.psi[..., 0, :, :] @ np.swapaxes(self.psi[..., 0, :, :], -1, -2)
+
+    def __getitem__(self, index) -> GramSystem:
+        return GramSystem(s=self.s[index], n=self.n, psi=self.psi[index], C=self.C[index])
 
 
-def build_grams(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
+def gram_stacks(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
     """The Gram systems at every point of a nondecreasing grid, in grid
-    order, from one pass over one panel set.
+    order, from one pass over one panel set: one stack per chunk of
+    panels, holding the points that close in it.
 
     Gauss-Legendre panels of width at most 1 cover
     [min(s_0, 0) - depth, s_last] with a panel edge at every grid point.
@@ -81,7 +99,7 @@ def build_grams(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
     F_k the weighted samples of the panels in (s_{k-1}, s_k]: a
     backward-stable update, which keeps the relative accuracy of the
     one-shot factorization.  Phi is evaluated on at most _CHUNK_NODES
-    nodes at a time, and the systems are produced lazily, so a long grid
+    nodes at a time, and the stacks are produced lazily, so a long grid
     is never held whole."""
     if n > family.nmax:
         raise ValueError("degree out of range")
@@ -112,17 +130,20 @@ def build_grams(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
         # exactly; one block of rows per panel
         f = (p * np.sqrt(rule.weights)[None, :, None, None]).transpose(1, 3, 0, 2)
         f = f.reshape(stop - start, PANEL_ORDER * family.dim, cols)
-        done, pos = [], start
+        # the grid points that close in this chunk, first to last
+        first, pos = k, start
+        factors = np.empty((int(np.searchsorted(ends, stop, side="right")) - first, cols, cols))
         while k < grid.size and ends[k] <= stop:
-            # grid point k closes in this chunk: fold in the rest of its interval
+            # grid point k: fold in the rest of its interval
             if ends[k] > pos:
                 c = _qr_update(c, f[pos - start : ends[k] - start])
                 pos = int(ends[k])
-            done.append(c)
+            factors[k - first] = c
             k += 1
         if pos < stop:  # an interval that closes in a later chunk
             c = _qr_update(c, f[pos - start :])
-        yield from _cut_systems(family, n, grid[k - len(done) : k], done)
+        yield from _cut_systems(family, n, grid[first:k], factors)
+        del factors  # before the next chunk's factors exist
 
 
 def _qr_update(c: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -131,16 +152,26 @@ def _qr_update(c: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate((c, f.reshape(-1, c.shape[1]))), mode="r")
 
 
-def _cut_systems(family: MOPFamily, n: int, points: np.ndarray, factors: list) -> Iterator[GramSystem]:
-    """Gram systems at the cut points from their factors, with Psi, Psi'
-    and Psi'' from one jet of Phi at all points."""
+def _cut_systems(family: MOPFamily, n: int, points: np.ndarray, factors: np.ndarray) -> Iterator[GramSystem]:
+    """Stacks of Gram systems at the cut points from their factors, with
+    Psi, Psi' and Psi'' from one jet of Phi at all points of a stack."""
     cols = n * family.dim
     for lo in range(0, points.size, _CHUNK_NODES):
         part = points[lo : lo + _CHUNK_NODES]
         # (point, order, (j, a), b)
         jet = np.stack(_phi_jet(family, part, n, 2), axis=1).swapaxes(0, 2).reshape(part.size, 3, cols, family.dim)
-        for i, s in enumerate(part.tolist()):
-            yield GramSystem(s=s, n=n, psi=jet[i], C=factors[lo + i])
+        yield GramSystem(s=part, n=n, psi=jet, C=factors[lo : lo + _CHUNK_NODES])
+
+
+def build_grams(family: MOPFamily, n: int, grid) -> Iterator[GramSystem]:
+    """The Gram systems of gram_stacks one point at a time; coinciding
+    grid points share one factor."""
+    last = None
+    for stack in gram_stacks(family, n, grid):
+        for i, s in enumerate(stack.s.tolist()):
+            c = last.C if last is not None and s == last.s else stack.C[i]
+            last = GramSystem(s=s, n=n, psi=stack.psi[i], C=c)
+            yield last
 
 
 def build_gram(family: MOPFamily, n: int, s: float) -> GramSystem:
@@ -148,46 +179,63 @@ def build_gram(family: MOPFamily, n: int, s: float) -> GramSystem:
     return next(build_grams(family, n, [s]))
 
 
-def gram_det(family: MOPFamily, n: int, s: float, system: GramSystem | None = None) -> float:
-    """det(I_{nN} - G(s)): the gap probability that no particle of the
-    n-point ensemble lies in (s, inf).
+def gram_dets(system: GramSystem) -> list[float]:
+    """det(I_{nN} - G(s)) at each point of a system or a stack: the gap
+    probability that no particle of the n-point ensemble lies in
+    (s, inf).
 
     Evaluated as det(H) of the lower-tail Gram, which keeps full
     relative precision even when the gap probability is tiny."""
+    return [0.0 if v == -np.inf else float(np.exp(v)) for v in np.atleast_1d(_log_det(system)).tolist()]
+
+
+def gram_det(family: MOPFamily, n: int, s: float, system: GramSystem | None = None) -> float:
+    """gram_dets at one cut point s."""
     if system is None:
         system = build_gram(family, n, s)
+    return gram_dets(system)[0]
+
+
+def _log_det(system: GramSystem) -> float | np.ndarray:
+    """log det H from the triangular factor, per point of a stack; -inf
+    for a singular factor."""
+    d = np.abs(np.diagonal(system.C, axis1=-2, axis2=-1))
+    singular = np.any(d == 0.0, axis=-1)
+    logabs = np.where(singular, -np.inf, 2.0 * np.sum(np.log(np.where(singular[..., None], 1.0, d)), axis=-1))
+    return float(logabs) if logabs.ndim == 0 else logabs
+
+
+def resolvable(system: GramSystem) -> bool | np.ndarray:
+    """Whether det H reaches 1e-300, per point of a stack: below it the
+    determinant vanishes, and log_derivs raises."""
+    return np.logical_not(_log_det(system) <= _LOG_DET_FLOOR)
+
+
+def _resolvable_log_det(system: GramSystem) -> float | np.ndarray:
+    """log det H; ValueError("determinant vanishes") where it is below
+    1e-300 at any point."""
     logabs = _log_det(system)
-    return 0.0 if logabs == -np.inf else float(np.exp(logabs))
-
-
-def _log_det(system: GramSystem) -> float:
-    """log det H from the triangular factor; -inf for a singular factor."""
-    d = np.abs(np.diag(system.C))
-    if np.any(d == 0.0):
-        return -np.inf
-    return float(2.0 * np.sum(np.log(d)))
-
-
-def _resolvable_log_det(system: GramSystem) -> float:
-    """log det H; ValueError("determinant vanishes") below 1e-300."""
-    logabs = _log_det(system)
-    if logabs <= np.log(_DET_FLOOR):
-        raise ValueError("determinant vanishes")
+    if np.any(logabs <= _LOG_DET_FLOOR):
+        raise ValueError(VANISHES)
     return logabs
 
 
 def _forward_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """C^{-T} rhs for upper-triangular C, by forward substitution on C^T."""
-    out = np.empty_like(rhs)
-    for i in range(c.shape[0]):
-        out[i] = (rhs[i] - c[:i, i] @ out[:i]) / c[i, i]
+    """C^{-T} rhs for upper-triangular C, or a stack of them, by forward
+    substitution on C^T."""
+    # C order whatever the layout of rhs: the products below take BLAS
+    # on rows of unit stride
+    out = np.empty(rhs.shape)
+    for i in range(c.shape[-1]):
+        out[..., i, :] = (rhs[..., i, :] - (c[..., None, :i, i] @ out[..., :i, :])[..., 0, :]) / c[..., i, i, None]
     return out
 
 
-def log_derivs(system: GramSystem) -> tuple[float, float, float]:
+def log_derivs(system: GramSystem) -> tuple:
     """R(s) = d/ds log det, R'(s) and R''(s) from one whitening of the
-    Gram system; ValueError("determinant vanishes") where det H is below
-    1e-300.
+    Gram system: floats, or (S,) arrays for a stack;
+    ValueError("determinant vanishes") where det H is below 1e-300 at any
+    point (select the resolvable points of a stack first).
 
     The whitening is one triangular solve Y = C^{-T} [Psi | Psi' | Psi''],
     and every trace is one of the small Gram G = Y^T Y, blocks
@@ -201,14 +249,22 @@ def log_derivs(system: GramSystem) -> tuple[float, float, float]:
     through the whitened C^{-T} B'' C^{-1}."""
     _resolvable_log_det(system)
     dim = system.psi.shape[-1]
-    y = _forward_solve(system.C, np.concatenate(system.psi, axis=1))
-    g = (y.T @ y).reshape(3, dim, 3, dim)
-    g00, g01, g02, g11 = g[0, :, 0], g[0, :, 1], g[0, :, 2], g[1, :, 1]
-    r = float(np.trace(g00))
-    rp = float(2.0 * np.trace(g01) - np.sum(g00 * g00))
-    rpp = float(
-        2.0 * np.trace(g00 @ g00 @ g00) - 6.0 * np.sum(g00 * g01.T) + 2.0 * np.trace(g02) + 2.0 * np.trace(g11)
-    )
+    # [Psi | Psi' | Psi''], (..., nN, 3N)
+    y = _forward_solve(system.C, np.concatenate(np.moveaxis(system.psi, -3, 0), axis=-1))
+    g = (np.swapaxes(y, -1, -2) @ y).reshape(y.shape[:-2] + (3, dim, 3, dim))
+    g00, g01, g02, g11 = g[..., 0, :, 0, :], g[..., 0, :, 1, :], g[..., 0, :, 2, :], g[..., 1, :, 1, :]
+
+    def trace(m):
+        return np.trace(m, axis1=-2, axis2=-1)
+
+    def total(m):
+        return np.sum(m, axis=(-2, -1))
+
+    r = trace(g00)
+    rp = 2.0 * trace(g01) - total(g00 * g00)
+    rpp = 2.0 * trace(g00 @ g00 @ g00) - 6.0 * total(g00 * np.swapaxes(g01, -1, -2)) + 2.0 * trace(g02) + 2.0 * trace(g11)
+    if np.ndim(r) == 0:
+        return float(r), float(rp), float(rpp)
     return r, rp, rpp
 
 
@@ -407,10 +463,23 @@ def contour_det(family: MOPFamily, n: int, s: float) -> float:
     error estimate of log det exceeds 1e-8: in the lower tail the
     reduced determinant is ill-conditioned with respect to its O(1)
     data (compare Bornemann, Math. Comp. 79, 2010), and for s > 0 at
-    large n the moments lose accuracy (_line_moments).
+    large n the moments lose accuracy (_line_moments).  This is
+    contour_dets at one point.
     """
+    (det,), (error,) = contour_dets(family, n, [s])
+    if error:
+        raise ValueError(error)
+    return det
+
+
+def contour_dets(family: MOPFamily, n: int, s) -> tuple[list[float], list[str]]:
+    """contour_det at every point of the 1-D array s, each step taken for
+    a whole stack of points in one call: the determinants (NaN where
+    flagged) and the error of each point ("" where none).  A point's
+    flag never touches the others."""
     if n < 1:
         raise ValueError("kernel degree must be a positive integer")
+    s = np.asarray(s, dtype=float)
     dim = family.dim
 
     # Both contour factors are Laurent monomials, Bfac(z)[a, q] =
@@ -429,10 +498,8 @@ def contour_det(family: MOPFamily, n: int, s: float) -> float:
     # moments are small where M_k is near its residue, so the identity
     # never cancels against X.
     bn, bhat, dl, dr = _laurent_data(family.weight, n)
-    left = dim == 1 and s < 0.0
     e = dl[:, None] - dr[None, :]  # (N, p)
     size = n - int(e.min())
-    h, herr = _hermite_terms(s, size - 1)
     ab = np.add.outer(np.arange(size), np.arange(size))
     hidx = n - 1 - e[:, None, :, None] - ab[None, :, None, :]  # (a, alpha, q, beta)
     bfac = np.where(hidx >= 0, bn[:, None, :, None], 0.0)
@@ -440,39 +507,99 @@ def contour_det(family: MOPFamily, n: int, s: float) -> float:
     midx = n - 2 - e.T[:, None, :, None] - ab[None, :, None, :]  # (q, beta, a, alpha)
     kmin = int(midx.min())
     midx = midx - kmin
-    mom, err = _line_moments(-s if left else s, kmin, int(midx.max()) + kmin)
-    if left:
-        mom = mom * (-1.0) ** np.arange(kmin, kmin + mom.size)
+    kmax = int(midx.max()) + kmin
     rows = dim * size
     bhfac = np.broadcast_to(bhat[:, None, :, None], midx.shape).reshape(-1, rows)
-    chat, rl = (bfac * h[hidx]).reshape(rows, -1), bhfac * mom[midx].reshape(-1, rows)
-    mat = -(chat @ rl) if left else np.eye(rows) - chat @ rl
-    sign, logabs = np.linalg.slogdet(mat)
-    # a gap determinant lies in [0, 1]; one whose exponential overflows
-    # (or a NaN) is lost to cancellation, not a number to print
-    if not logabs < _LOG_FLOAT_MAX:
-        raise ValueError(f"contour determinant is not finite (log|det| = {logabs:.3g})")
-    # An error dA of A = mat moves log det A by log det(I + E), with
-    # E = A^{-1} dA, so by tr E to first order.  Each h_p and M_k enters
-    # many entries of Chat and RL with one shared error, so its share of
-    # tr E is its error times the summed sensitivity of those entries;
-    # the rounding of the product adds u |Chat| |RL| entrywise.  A highly
-    # non-normal A can hide a large E behind a small trace: with |E| <= M
-    # entrywise and mu = ||M||_inf < 1, the terms of order 2 and up are
-    # at most rows mu^2 / (2 (1 - mu)).
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError:
+    dets, errors = [math.nan] * s.size, [""] * s.size
+    # each stack holds at most _STACK_ENTRIES entries of Chat
+    step = max(1, _STACK_ENTRIES // bfac.size)
+    for lo in range(0, s.size, step):
+        part = s[lo : lo + step].tolist()
+        left = [dim == 1 and x < 0.0 for x in part]
+        h, herr = (np.array(v) for v in zip(*(_hermite_terms(x, size - 1) for x in part)))
+        mom, err = [], []
+        for x, flip in zip(part, left):
+            m, me = _line_moments(-x if flip else x, kmin, kmax)
+            mom.append(m * (-1.0) ** np.arange(kmin, kmin + m.size) if flip else m)
+            err.append(me)
+        mom, err, left = np.array(mom), np.array(err), np.array(left)
+        chat = (bfac * h[:, hidx]).reshape(len(part), rows, -1)
+        rl = bhfac * mom[:, midx].reshape(len(part), -1, rows)
+        prod = chat @ rl
+        mat = np.where(left[:, None, None], -prod, np.eye(rows) - prod)
+        sign, logabs = np.linalg.slogdet(mat)
+        # a gap determinant lies in [0, 1]; one whose exponential overflows
+        # (or a NaN) is lost to cancellation, not a number to print
+        finite = logabs < _LOG_FLOAT_MAX
+        for i in np.flatnonzero(~finite).tolist():
+            errors[lo + i] = f"contour determinant is not finite (log|det| = {logabs[i]:.3g})"
+        keep = np.flatnonzero(finite)
+        inv, found = _inverses(mat[keep])
         # det(mat) cancelled or underflowed to exactly 0: no relative accuracy
-        raise ValueError("contour route unreliable (est inf)") from None
-    absinv = np.abs(inv)
-    d_mom = np.bincount(midx.ravel(), weights=(bhfac * (inv @ chat).T).ravel(), minlength=mom.size)
-    d_h = np.bincount(hidx.ravel(), weights=(bfac.reshape(rows, -1) * (rl @ inv).T).ravel(), minlength=h.size)
-    est = _U * float(np.sum(absinv.T * (np.abs(chat) @ np.abs(rl)))) + np.abs(d_mom) @ err + np.abs(d_h) @ herr
-    drl = np.abs(bhfac) * err[midx].reshape(-1, rows)
-    dchat = (np.abs(bfac) * herr[hidx]).reshape(rows, -1)
-    mu = float(np.max(np.sum(absinv @ (np.abs(chat) @ (_U * np.abs(rl) + drl) + dchat @ np.abs(rl)), axis=1)))
-    est = est + rows * mu * mu / (2.0 * (1.0 - mu)) if mu < 1.0 else math.inf
-    if not est <= _EST_TOL:
-        raise ValueError(f"contour route unreliable (est {est:.1e})")
-    return float(sign * np.exp(logabs))
+        for i in keep[~found].tolist():
+            errors[lo + i] = "contour route unreliable (est inf)"
+        keep, inv = keep[found], inv[found]
+        if keep.size == 0:
+            continue
+        est = _log_det_error(bfac, hidx, bhfac, midx, chat[keep], rl[keep], inv, err[keep], herr[keep])
+        for i, est_i, sign_i, logabs_i in zip(keep.tolist(), est, sign[keep], logabs[keep]):
+            if not est_i <= _EST_TOL:
+                errors[lo + i] = f"contour route unreliable (est {est_i:.1e})"
+            else:
+                dets[lo + i] = float(sign_i * np.exp(logabs_i))
+    return dets, errors
+
+
+def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each matrix of a stack, and whether it exists: a
+    singular matrix fails alone, not the whole stack."""
+    try:
+        return np.linalg.inv(mats), np.ones(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        inv, found = np.zeros_like(mats), np.zeros(len(mats), dtype=bool)
+        for i, mat in enumerate(mats):
+            try:
+                inv[i] = np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                continue
+            found[i] = True
+        return inv, found
+
+
+def _log_det_error(bfac, hidx, bhfac, midx, chat, rl, inv, err, herr) -> np.ndarray:
+    """The running error estimate of log det(A), A = I - Chat (R L) or
+    -Chat (R L)~, per point of a stack, from A's inverse and the errors
+    err of the moments and herr of the h_p.
+
+    An error dA of A moves log det A by log det(I + E), with
+    E = A^{-1} dA, so by tr E to first order.  Each h_p and M_k enters
+    many entries of Chat and RL with one shared error, so its share of
+    tr E is its error times the summed sensitivity of those entries;
+    the rounding of the product adds u |Chat| |RL| entrywise.  A highly
+    non-normal A can hide a large E behind a small trace: with |E| <= M
+    entrywise and mu = ||M||_inf < 1, the terms of order 2 and up are
+    at most rows mu^2 / (2 (1 - mu))."""
+    count, rows = inv.shape[:2]
+    absinv, abschat, absrl = np.abs(inv), np.abs(chat), np.abs(rl)
+    d_mom = _binned(midx, bhfac * np.swapaxes(inv @ chat, -1, -2), err.shape[-1])
+    d_h = _binned(hidx, bfac.reshape(rows, -1) * np.swapaxes(rl @ inv, -1, -2), herr.shape[-1])
+    est = _U * np.sum(np.swapaxes(absinv, -1, -2) * (abschat @ absrl), axis=(-2, -1))
+    est = est + _dot(np.abs(d_mom), err) + _dot(np.abs(d_h), herr)
+    drl = np.abs(bhfac) * err[:, midx].reshape(count, -1, rows)
+    dchat = (np.abs(bfac) * herr[:, hidx]).reshape(count, rows, -1)
+    mu = np.max(np.sum(absinv @ (abschat @ (_U * absrl + drl) + dchat @ absrl), axis=-1), axis=-1)
+    below = np.where(mu < 1.0, mu, 0.0)
+    return np.where(mu < 1.0, est + rows * below * below / (2.0 * (1.0 - below)), math.inf)
+
+
+def _binned(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Per point of a stack, the weights summed by their index into size
+    bins, each bin in the order of its entries."""
+    count = len(weights)
+    flat = (index.ravel() + size * np.arange(count)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(), minlength=count * size).reshape(count, size)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row pair of two stacks of vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]

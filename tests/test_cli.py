@@ -222,7 +222,7 @@ def test_fredholm_scan_builds_one_grid_per_scan(tmp_path, monkeypatch):
     # Phi evaluation on the panels of a short grid
     from ncpiv import fredholm, quadrature
 
-    calls = {"build_grams": 0, "build_gram": 0, "phi_all": 0, "second_log_deriv": 0, "tail_integral": 0}
+    calls = {"gram_stacks": 0, "build_grams": 0, "build_gram": 0, "phi_all": 0, "second_log_deriv": 0, "tail_integral": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -233,6 +233,7 @@ def test_fredholm_scan_builds_one_grid_per_scan(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(fredholm, "gram_stacks")
     counted(fredholm, "build_grams")
     counted(fredholm, "build_gram")
     counted(fredholm, "phi_all")
@@ -258,7 +259,14 @@ def test_fredholm_scan_builds_one_grid_per_scan(tmp_path, monkeypatch):
     )
     assert code == EXIT_OK
     assert len(read_csv(tmp_path / "scan.csv")) == steps + 1
-    assert calls == {"build_grams": 1, "build_gram": 0, "phi_all": 1, "second_log_deriv": 0, "tail_integral": 0}
+    assert calls == {
+        "gram_stacks": 1,
+        "build_grams": 0,
+        "build_gram": 0,
+        "phi_all": 1,
+        "second_log_deriv": 0,
+        "tail_integral": 0,
+    }
 
 
 def test_fredholm_scan_flagged_rows_keep_the_gram_route(capsys):
@@ -280,6 +288,76 @@ def test_fredholm_scan_flagged_rows_keep_the_gram_route(capsys):
             assert row["det_contour"] == "" and row["sigma_piv_residual"] == ""
             assert [float(row[c]) for c in ("R", "Rp", "Rpp")] == list(fredholm.log_derivs(system))
     assert flagged == 28
+
+
+def test_fredholm_scan_stacks_stay_within_one_chunk(monkeypatch):
+    # a 5 000-row scan: every stacked determinant and solve holds the rows
+    # of one chunk of panels at most, never the whole grid
+    from ncpiv import fredholm
+    from ncpiv.quadrature import PANEL_ORDER
+
+    slogdet, solve = np.linalg.slogdet, fredholm._forward_solve
+    stacks = {"slogdet": [], "solve": []}
+
+    def recording_slogdet(mat):
+        stacks["slogdet"].append(len(mat))
+        return slogdet(mat)
+
+    def recording_solve(c, rhs):
+        stacks["solve"].append(len(c))
+        return solve(c, rhs)
+
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    monkeypatch.setattr(fredholm, "_forward_solve", recording_solve)
+    argv = ["fredholm-scan", "--n", "1", "--s-min", "-1", "--s-max", "1", "--s-steps", "5000", "--format", "json"]
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buf)
+    assert main(argv) == EXIT_OK
+    rows = json.loads(buf.getvalue())
+    assert len(rows) == 5000 and not any(row["error"] for row in rows)
+    for sizes in stacks.values():
+        assert len(sizes) > 1 and sum(sizes) == 5000
+        assert max(sizes) <= fredholm._CHUNK_NODES // PANEL_ORDER
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fredholm-scan", "--s-min", "-1e-3", "--s-max", "2.5E+0", "--s-steps", "4"],
+        ["fredholm-scan", "--family", "b", "--nu", "1.5e0", "--s-min", "-1.5e+0", "--s-max", "-5e-1", "--s-steps", "3"],
+        ["painleve", "--s-min", "-5e-1", "--s-max", "-4e-1", "--step", "1e-2"],
+        ["verify", "--nu", "-5e-1", "--n", "2"],
+    ],
+)
+def test_negative_values_in_exponent_notation(argv, capsys):
+    # "--s-min -1e-3" is the value -0.001, as "--s-min=-1e-3" is
+    joined = []
+    for tok in argv:
+        if joined and joined[-1].startswith("--") and tok[0] == "-" and tok[1].isdigit():
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    assert joined != argv
+    outputs = []
+    for form in (argv, joined):
+        code = main(form)
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] != EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["painleve", "--step", "-1e-3"],
+        ["fredholm-scan", "--s-min", "-1e-3x"],
+        ["fredholm-scan", "--s-min", "-1e999"],
+        ["fredholm-scan", "--s-min", "-1e3"],
+        ["fredholm-scan", "--n", "-1e1"],
+    ],
+)
+def test_invalid_negative_values_are_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_fredholm_scan_bounds_s(capsys):

@@ -17,9 +17,13 @@ from ncpiv.fredholm import (
     build_gram,
     build_grams,
     contour_det,
+    contour_dets,
     gram_det,
+    gram_dets,
+    gram_stacks,
     log_deriv,
     log_derivs,
+    resolvable,
     second_log_deriv,
     sigma_piv_residual,
 )
@@ -324,6 +328,70 @@ def test_scalar_lower_tail_takes_the_left_line(fam_scalar):
                 assert abs(math.log(contour_det(fam_scalar, n, s)) - ref) <= 1e-9
 
 
+def _one_point(call):
+    """The value of a one-point call, or its error message."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _flag(value) -> str:
+    """The kind of a contour-route outcome: ok, or its flag without the number."""
+    if not isinstance(value, str):
+        return "ok"
+    return "est inf" if value.endswith("(est inf)") else value.split(" (")[0]
+
+
+def test_stacked_path_equals_one_point_calls(monkeypatch):
+    # the Gram determinant, R, R', R'' and the contour determinant of each
+    # point of a stack equal its one-point calls bit for bit.  The grids
+    # straddle s = 0, where the scalar family switches to the left line,
+    # and their stacks mix sound rows with every flag: a vanishing Gram
+    # determinant, a contour determinant beyond the float range, a
+    # singular reduced matrix (s = -40) and a large error estimate
+    inv = np.linalg.inv
+    singular = []
+
+    def recording_inv(mat):
+        try:
+            return inv(mat)
+        except np.linalg.LinAlgError:
+            singular.append(len(mat))
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    mixed = set()  # the flags that shared a stack with a sound row
+    for weight in (WeightFamily(kind="a", nu=1.0), WeightFamily(kind="b", nu=0.7), WeightFamily(kind="scalar")):
+        family = build_family(weight, 123)
+        grids = {n: np.linspace(-3.0, 3.0, 13) for n in range(1, 6)}
+        grids[3] = np.array([-40.0, -3.0, -0.5, 0.5, 2.0])
+        grids[122] = np.array([-3.0, 3.0, 16.0, 20.0])
+        for n, grid in grids.items():
+            points = build_grams(family, n, grid)
+            for stack in gram_stacks(family, n, grid):
+                dets = gram_dets(stack)
+                sound = resolvable(stack)
+                derivs = np.stack(log_derivs(stack[sound]), axis=-1).tolist()
+                if sound.all():
+                    # the stack itself, laid out as gram_stacks made it
+                    assert np.stack(log_derivs(stack), axis=-1).tolist() == derivs
+                contour = [e or d for d, e in zip(*contour_dets(family, n, stack.s))]
+                row = iter(derivs)
+                for i, s in enumerate(stack.s.tolist()):
+                    system = next(points)
+                    assert dets[i] == gram_det(family, n, s, system=system)
+                    got = list(next(row)) if sound[i] else "determinant vanishes"
+                    assert got == _one_point(lambda: list(log_derivs(system)))
+                    assert contour[i] == _one_point(lambda: contour_det(family, n, s))
+                flags = {_flag(c) for c in contour} | ({"determinant vanishes"} if not sound.all() else set())
+                if "ok" in flags:
+                    mixed |= flags
+    assert mixed == {"ok", "determinant vanishes", "contour determinant is not finite", "contour route unreliable", "est inf"}
+    # a singular reduced matrix failed the batched inverse of its stack
+    assert max(singular) > 1
+
+
 def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
     # the determinant is taken of a matrix of at most 64 p rows (p = 1, 2,
     # 3 contour-factor columns)
@@ -331,7 +399,8 @@ def test_contour_det_reduced_size(monkeypatch, fam_a, fam_b, fam_scalar):
     slogdet = np.linalg.slogdet
 
     def recording_slogdet(mat):
-        shapes.append(mat.shape)
+        # the shape of each matrix of the stack
+        shapes.append(mat.shape[1:])
         return slogdet(mat)
 
     monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
@@ -352,7 +421,8 @@ def test_contour_det_residue_size(monkeypatch, fam_a, fam_b, fam_scalar):
     slogdet = np.linalg.slogdet
 
     def recording_slogdet(mat):
-        shapes.append(mat.shape)
+        # the shape of each matrix of the stack
+        shapes.append(mat.shape[1:])
         return slogdet(mat)
 
     monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
@@ -385,11 +455,11 @@ def test_contour_det_flags_a_determinant_beyond_the_float_range(fam_a, monkeypat
     # positive one (det ~ 1 at s near 3) and det = 0 are returned
     orig = np.linalg.slogdet
     for logabs in (np.inf, np.nan, 710.0, 1.2e4):
-        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0, v))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (np.ones(len(m)), np.full(len(m), v)))
         with pytest.raises(ValueError, match="^contour determinant is not finite"):
             contour_det(fam_a, 3, 0.5)
     for logabs, det in ((1e-12, math.exp(1e-12)), (700.0, math.exp(700.0)), (-np.inf, 0.0)):
-        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (1.0, v))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m, v=logabs: (np.ones(len(m)), np.full(len(m), v)))
         assert contour_det(fam_a, 3, 0.5) == det
     monkeypatch.setattr(np.linalg, "slogdet", orig)
     assert 0.0 < contour_det(fam_a, 3, 3.0) <= 1.0 + 1e-12
